@@ -2,8 +2,8 @@
 
 Commands: eval, numeral, check, head, eq, definable.  Results go to stdout,
 diagnostics to stderr.  Exit codes: 0 success/pass, 1 failure or bad input,
-2 out of fuel, 3 inconclusive (fuel ran out inside a check, or the requested
-combinator is absent).
+2 out of fuel, 3 inconclusive (fuel ran out inside a check, the check had no
+cases, or the requested combinator is absent).
 """
 
 from __future__ import annotations
@@ -95,7 +95,11 @@ def cmd_eval(args) -> int:
 
 def cmd_numeral(args) -> int:
     system = builtin_system(args.system)
-    term = system.numeral(args.n)
+    try:
+        term = system.numeral(args.n)
+    except ValueError as err:
+        print(str(err), file=sys.stderr)
+        return EXIT_FAIL
     payload = {
         "format": REPORT_FORMAT,
         "system": args.system,

@@ -35,7 +35,7 @@ class NumericFunction:
 # ---------------------------------------------------------------------------
 # System well-formedness and the three combinator contracts
 
-def check_system(sys: "NumeralSystem", upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
+def check_system(sys: "NumeralSystem", upto: int = DEFAULT_UPTO) -> CheckReport:
     """Closedness, beta-eta-normality, and pairwise alpha-distinctness of the
     numerals below `upto`."""
     if upto < 2:

@@ -46,8 +46,14 @@ class SequenceSpec:
 # ---------------------------------------------------------------------------
 # Numeral constructors
 
+def _require_natural(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"numerals are indexed by naturals, got {n}")
+
+
 def church(n: int) -> Term:
     """λf.λx.(f (f … (f x))) with n occurrences of f."""
+    _require_natural(n)
     body: Term = Var("x")
     for _ in range(n):
         body = App(Var("f"), body)
@@ -56,6 +62,7 @@ def church(n: int) -> Term:
 
 def barendregt(n: int) -> Term:
     """I for zero, then each successor wraps a pair ⟨F, previous⟩."""
+    _require_natural(n)
     t: Term = I
     for _ in range(n):
         t = mk_pair(F, t)
@@ -64,6 +71,7 @@ def barendregt(n: int) -> Term:
 
 def a_numeral(n: int) -> Term:
     """n abstractions over I: λx1…λxn.I."""
+    _require_natural(n)
     t: Term = I
     for i in range(n, 0, -1):
         t = Lam(f"x{i}", t)
@@ -72,6 +80,7 @@ def a_numeral(n: int) -> Term:
 
 def b_numeral(n: int) -> Term:
     """⟨T, I⟩ for zero, ⟨F, a_{n-1}⟩ for n ≥ 1."""
+    _require_natural(n)
     if n == 0:
         return mk_pair(T, I)
     return mk_pair(F, a_numeral(n - 1))
@@ -88,6 +97,7 @@ def bprime_numeral(n: int) -> Term:
 
 def tilde_numeral(n: int) -> Term:
     """I for zero, λx.(x x…x) with n+1 occurrences for n ≥ 1."""
+    _require_natural(n)
     if n == 0:
         return I
     body: Term = Var("x")
@@ -98,6 +108,7 @@ def tilde_numeral(n: int) -> Term:
 
 def c_numeral(n: int, e: SequenceSpec) -> Term:
     """I for zero, then ⟨c_{n-1}, e_n⟩."""
+    _require_natural(n)
     t: Term = I
     for i in range(1, n + 1):
         t = mk_pair(t, e.element(i))

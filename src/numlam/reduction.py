@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import App, Lam, Term, Var, alpha_eq, occurs_free, substitute
+from .terms import App, Lam, Term, Var, alpha_eq, free_vars, substitute
 
 
 class NotBetaNormalError(ValueError):
@@ -106,6 +106,16 @@ def _has_beta_redex(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Eta
 
+def _is_eta_redex(binder: str, body: Term) -> bool:
+    """True iff λbinder.body is an eta-redex λx.(M x) with x not free in M."""
+    return (
+        isinstance(body, App)
+        and isinstance(body.arg, Var)
+        and body.arg.name == binder
+        and binder not in free_vars(body.fn)
+    )
+
+
 def _eta(t: Term) -> tuple[Term, int]:
     if isinstance(t, Var):
         return t, 0
@@ -116,12 +126,7 @@ def _eta(t: Term) -> tuple[Term, int]:
             return t, 0
         return App(fn, arg), a + b
     body, n = _eta(t.body)
-    if (
-        isinstance(body, App)
-        and isinstance(body.arg, Var)
-        and body.arg.name == t.binder
-        and not occurs_free(t.binder, body.fn)
-    ):
+    if _is_eta_redex(t.binder, body):
         return body.fn, n + 1
     if body is t.body:
         return t, n
@@ -152,15 +157,9 @@ def is_beta_eta_normal(t: Term) -> bool:
     while stack:
         node = stack.pop()
         if isinstance(node, Lam):
-            body = node.body
-            if (
-                isinstance(body, App)
-                and isinstance(body.arg, Var)
-                and body.arg.name == node.binder
-                and not occurs_free(node.binder, body.fn)
-            ):
+            if _is_eta_redex(node.binder, node.body):
                 return False
-            stack.append(body)
+            stack.append(node.body)
         elif isinstance(node, App):
             if isinstance(node.fn, Lam):
                 return False

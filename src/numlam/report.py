@@ -1,7 +1,8 @@
 """Machine-readable verdicts for batches of equivalence checks.
 
-A CheckReport never claims an overall pass while any case is unknown:
-fuel exhaustion is reported as inconclusive, not as failure or success.
+A CheckReport never claims an overall pass while any case is unknown, nor
+on zero cases: fuel exhaustion and an empty report are inconclusive, not
+failure or success.
 """
 
 from __future__ import annotations
@@ -66,9 +67,11 @@ class CheckReport:
 
     @property
     def overall(self) -> str:
+        """fail if any case failed; otherwise inconclusive if any case is
+        unknown or there are no cases at all; otherwise pass."""
         if self.failed:
             return "fail"
-        if self.unknown:
+        if self.unknown or not self.cases:
             return "inconclusive"
         return "pass"
 

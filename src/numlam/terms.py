@@ -3,12 +3,15 @@
 Terms are immutable trees of `Var`, `Lam`, and `App` nodes carrying string
 identifiers.  Structural equality of `Term` values is *not* alpha-equivalence;
 use `alpha_eq`, which compares the nameless (binder-depth indexed) forms
-produced by `to_indexed`.  All operations are pure.
+produced by `to_indexed`.  All operations are pure.  The one piece of state
+is a cache on each `Lam` of its free variables, filled by `free_vars` on
+first use: it is a memo of the node's immutable subtree, so it never goes
+stale, and it takes no part in equality, hashing or `repr`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 
@@ -21,6 +24,10 @@ class Var:
 class Lam:
     binder: str
     body: "Term"
+    # Free variables of this abstraction, set by free_vars.  Only Lam has
+    # the field: one more slot on every node would grow each App and Var too.
+    # The None default keeps copy.deepcopy and pickle working.
+    _fv: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,37 +116,33 @@ def size(t: Term) -> int:
     return total
 
 
-def free_vars(t: Term) -> set[str]:
-    out: set[str] = set()
-    bound: dict[str, int] = {}
+_NO_NAMES: frozenset[str] = frozenset()
 
-    def go(node: Term) -> None:
-        if isinstance(node, Var):
-            if not bound.get(node.name):
-                out.add(node.name)
-        elif isinstance(node, Lam):
-            bound[node.binder] = bound.get(node.binder, 0) + 1
-            go(node.body)
-            bound[node.binder] -= 1
-        else:
-            go(node.fn)
-            go(node.arg)
 
-    go(t)
-    return out
+def free_vars(t: Term) -> frozenset[str]:
+    """The names with a free occurrence in t.  Cached on each abstraction,
+    so asking again about a subtree already asked about costs nothing."""
+    if isinstance(t, Lam):
+        fv = t._fv
+        if fv is None:
+            fv = free_vars(t.body)
+            if t.binder in fv:
+                fv = fv - {t.binder} or _NO_NAMES
+            object.__setattr__(t, "_fv", fv)
+        return fv
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    fn = free_vars(t.fn)
+    arg = free_vars(t.arg)
+    if not arg or arg <= fn:
+        return fn
+    if not fn:
+        return arg
+    return fn | arg
 
 
 def is_closed(t: Term) -> bool:
     return not free_vars(t)
-
-
-def occurs_free(name: str, t: Term) -> bool:
-    """True iff `name` has a free occurrence in t (early-exit walk)."""
-    if isinstance(t, Var):
-        return t.name == name
-    if isinstance(t, Lam):
-        return t.binder != name and occurs_free(name, t.body)
-    return occurs_free(name, t.fn) or occurs_free(name, t.arg)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +180,13 @@ def substitute(t: Term, s: Substitution) -> Term:
 
     Bound variables are renamed (by appending primes) only when a
     replacement would otherwise be captured, so output is deterministic.
-    Unchanged subtrees are shared with the input.
+    Unchanged subtrees are shared with the input: an abstraction in which
+    no substituted name is free is returned as it is, without a walk.
     """
     if not s:
         return t
     fvs = {k: free_vars(v) for k, v in s.items()}
-    risk = frozenset().union(*fvs.values()) if fvs else frozenset()
+    risk = frozenset().union(*fvs.values())
 
     def go(node: Term, m: dict[str, Term], mfvs, mrisk):
         if isinstance(node, Var):
@@ -197,24 +201,22 @@ def substitute(t: Term, s: Substitution) -> Term:
         m2 = m
         if x in m2:
             m2 = {k: v for k, v in m2.items() if k != x}
-            if not m2:
-                return node
-        if x in mrisk:
+        fv = free_vars(node)
+        if fv.isdisjoint(m2):
+            return node
+        if x in mrisk and any(x in mfvs[k] for k in m2 if k in fv):
             occurs = free_vars(node.body)
-            live = [k for k in m2 if k in occurs]
-            if not live:
-                return node
-            if any(x in mfvs[k] for k in live):
-                avoid = set(occurs)
-                for k in live:
+            avoid = set(occurs)
+            for k in m2:
+                if k in occurs:
                     avoid |= mfvs[k]
-                fresh = fresh_name(x, avoid)
-                m3 = dict(m2)
-                m3[x] = Var(fresh)
-                fvs3 = dict(mfvs)
-                fvs3[x] = {fresh}
-                body = go(node.body, m3, fvs3, mrisk | {fresh})
-                return Lam(fresh, body)
+            fresh = fresh_name(x, avoid)
+            m3 = dict(m2)
+            m3[x] = Var(fresh)
+            fvs3 = dict(mfvs)
+            fvs3[x] = {fresh}
+            body = go(node.body, m3, fvs3, mrisk | {fresh})
+            return Lam(fresh, body)
         body = go(node.body, m2, mfvs, mrisk)
         if body is node.body:
             return node

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from numlam import alpha_eq, barendregt, church, parse_term
 from numlam.cli import main
@@ -153,3 +156,40 @@ def test_unknown_system_exits_one(capsys):
     code, _, err = run(capsys, "numeral", "roman", "3")
     assert code == 1
     assert "unknown numeral system" in err
+
+
+def test_numeral_rejects_negative_index(capsys):
+    code, out, err = run(capsys, "numeral", "church", "-3")
+    assert code == 1 and out == ""
+    assert err == "numerals are indexed by naturals, got -3\n"
+
+
+def test_check_with_no_cases_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "check", "church", "all", "--upto", "0")
+    assert code == 3
+    assert "succ: inconclusive (0 passed" in out and "pred: inconclusive (0 passed" in out
+
+
+def test_definable_with_no_cases_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "definable", "church", "--prelude", "S_church",
+                       "--fn", "succ", "--upto", "0")
+    assert code == 3
+    assert out.startswith("succ on church: inconclusive (0 passed")
+
+
+# The default --json bytes of these commands are pinned: a change to the
+# engine must leave every verdict, step count and printed witness as it is.
+# The definable run has distinct cases whose witnesses print renamed binders.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden, exit_code", [
+    (("check", "barendregt", "all", "--upto", "10"), "check_barendregt_upto10.json", 0),
+    (("check", "c", "all", "--upto", "10"), "check_c_upto10.json", 3),
+    (("definable", "church", "--prelude", "S_church S_church", "--fn", "succ", "--upto", "4"),
+     "definable_church_succ_twice.json", 1),
+])
+def test_json_output_is_pinned(capsys, argv, golden, exit_code):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == exit_code
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")

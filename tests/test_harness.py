@@ -2,6 +2,7 @@ import pytest
 
 from numlam import (
     App,
+    CheckReport,
     F,
     Fuel,
     I,
@@ -156,6 +157,14 @@ def test_reports_never_pass_with_unknowns():
     report = check_successor(CHURCH, CHURCH.successor, 5, Fuel(1))
     assert report.unknown > 0
     assert report.overall == "inconclusive"
+
+
+def test_reports_never_pass_with_no_cases():
+    assert CheckReport("nothing").overall == "inconclusive"
+    report = check_successor(CHURCH, CHURCH.successor, 0)
+    assert report.cases == () and report.overall == "inconclusive"
+    report = check_definable(CHURCH, CHURCH.successor, NumericFunction(1, lambda n: n + 1), [])
+    assert report.to_dict()["overall"] == "inconclusive"
 
 
 def test_report_counts_and_serialization():

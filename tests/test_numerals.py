@@ -100,6 +100,12 @@ def test_sequence_only_valid_for_c():
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_numerals_reject_negative_index(name):
+    with pytest.raises(ValueError, match="naturals"):
+        builtin_system(name).numeral(-3)
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
 def test_numerals_closed_and_distinct(name):
     sys_ = builtin_system(name)
     seen = set()
