@@ -81,9 +81,7 @@ def check_predecessor(sys: "NumeralSystem", p: Term, upto: int = DEFAULT_UPTO, f
 
 
 def check_zero_test(sys: "NumeralSystem", z: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
-    cases = [eq_case("n=0", app(z, sys.numeral(0)), T, fuel)]
-    for n in range(1, upto):
-        cases.append(eq_case(f"n={n}", app(z, sys.numeral(n)), F, fuel))
+    cases = [eq_case(f"n={n}", app(z, sys.numeral(n)), F if n else T, fuel) for n in range(upto)]
     return CheckReport(f"{sys.name} zero test", tuple(cases))
 
 

@@ -203,29 +203,37 @@ def parse_program(text: str, base: Program | None = None) -> Program:
 # Printing
 
 def pretty(t: Term) -> str:
-    """Minimal-parentheses rendering; reparsing yields the same term."""
-    parts: list[str] = []
+    """Minimal-parentheses rendering; reparsing yields the same term.
 
-    def walk(node: Term, fn_pos: bool, arg_pos: bool) -> None:
-        if isinstance(node, Var):
+    Stack-safe: the walk keeps its pending work on an explicit stack, so
+    the depth of t is not bounded by the recursion limit.
+    """
+    parts: list[str] = []
+    # Each entry is text to emit or a term to render where no parentheses
+    # are needed: at the top, under a binder or inside parentheses.
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, Var):
             parts.append(node.name)
         elif isinstance(node, Lam):
-            if fn_pos or arg_pos:
-                parts.append("(")
-                walk(node, False, False)
-                parts.append(")")
-            else:
-                parts.append("\\" + node.binder + ".")
-                walk(node.body, False, False)
+            parts.append("\\" + node.binder + ".")
+            stack.append(node.body)
         else:
-            if arg_pos:
-                parts.append("(")
-                walk(node, False, False)
-                parts.append(")")
+            # An application spine: the head, then each argument, which
+            # needs parentheses unless it is a variable.  Pushed last first.
+            while isinstance(node, App):
+                arg = node.arg
+                if isinstance(arg, Var):
+                    stack.append(arg.name)
+                else:
+                    stack += (")", arg, "(")
+                stack.append(" ")
+                node = node.fn
+            if isinstance(node, Lam):
+                stack += (")", node, "(")
             else:
-                walk(node.fn, True, False)
-                parts.append(" ")
-                walk(node.arg, False, True)
-
-    walk(t, False, False)
+                stack.append(node.name)
     return "".join(parts)

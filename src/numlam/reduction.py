@@ -6,6 +6,15 @@ the partial term left when the budget ran out.  Equality of terms is the
 three-valued `beta_eta_eq`: Equal and Distinct are definitive (both sides
 reached beta-eta-normal form), Unknown means fuel ran out and is never
 collapsed to a definite answer.
+
+Beta-normalization is one iterative normal-order pass over a context stack
+(a zipper): it reduces the head of each spine, then goes on into binders
+and arguments (Sestoft, "Demonstrating lambda calculus reduction", 2002),
+resuming at each contraction site instead of searching again from the
+root.  Its invariant: it contracts the leftmost-outermost redexes that a
+search from the root after each step would, in the same order, so the step
+counts and, at every fuel, the partial term are those of step-by-step
+reduction.  `beta_step_normal_order` is one step of that pass.
 """
 
 from __future__ import annotations
@@ -56,37 +65,97 @@ ReductionOutcome = Normal | OutOfFuel
 # ---------------------------------------------------------------------------
 # Beta
 
+# Frames of the context stack (zipper) that beta_normalize keeps
+# from the root to its focus:
+#   (_BODY, lam)          the focus is the body of lam
+#   (_FN, app)            the focus is the function of app; app.arg waits
+#   (_ARG, app, fn)       the focus is the argument of app, whose function
+#                         is now the normal fn
+_BODY, _FN, _ARG = 0, 1, 2
+
+
+def _plug(t: Term, stack: list) -> Term:
+    """The whole term: the focus t put back into its context."""
+    for frame in reversed(stack):
+        node = frame[1]
+        if frame[0] == _BODY:
+            t = node if t is node.body else Lam(node.binder, t)
+        elif frame[0] == _FN:
+            t = node if t is node.fn else App(t, node.arg)
+        else:
+            fn = frame[2]
+            t = node if fn is node.fn and t is node.arg else App(fn, t)
+    return t
+
+
+def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
+    """Beta-normalize t in normal order, spending at most fuel.max_steps.
+
+    Each step contracts the leftmost-outermost redex of the whole term, the
+    one a search from the root would find, but one iterative pass makes all
+    the steps: the steps, their count and, when the fuel runs out, the
+    partial term are those of that many single steps.  A normal t comes back as the
+    same object; in general, subtrees the reduction leaves unchanged are
+    shared with t.  The pass itself does not recurse, so the depth of t is
+    not bounded by the recursion limit; `substitute` still recurses on the
+    body of each redex it contracts.
+
+    The pass keeps its focus and the context above it as a stack of frames.
+    Everything left of the focus in the order node, function, argument is
+    beta-normal and no ancestor of the focus is a redex, so the next redex
+    is at or after the focus.  A contraction changes only the focus, and it
+    can make a redex above it in one way: a contractum that is an
+    abstraction in function position makes its parent application a redex,
+    so the pass steps back up to that parent.  Otherwise it resumes at the
+    contractum.
+    """
+    max_steps = fuel.max_steps
+    stack: list = []
+    steps = 0
+    while True:
+        if isinstance(t, App):
+            fn = t.fn
+            if isinstance(fn, Lam):
+                if steps == max_steps:
+                    return OutOfFuel(_plug(t, stack), steps)
+                t = substitute(fn.body, {fn.binder: t.arg})
+                steps += 1
+                if isinstance(t, Lam) and stack and stack[-1][0] == _FN:
+                    t = App(t, stack.pop()[1].arg)
+            else:
+                stack.append((_FN, t))
+                t = fn
+            continue
+        if isinstance(t, Lam):
+            stack.append((_BODY, t))
+            t = t.body
+            continue
+        # The focus is normal: go up to the first argument not yet visited.
+        while stack:
+            frame = stack.pop()
+            node = frame[1]
+            if frame[0] == _BODY:
+                t = node if t is node.body else Lam(node.binder, t)
+            elif frame[0] == _FN:
+                stack.append((_ARG, node, t))
+                t = node.arg
+                break
+            else:
+                fn = frame[2]
+                t = node if fn is node.fn and t is node.arg else App(fn, t)
+        else:
+            return Normal(t, steps)
+
+
 def beta_step_normal_order(t: Term) -> Term | None:
     """Contract the leftmost-outermost beta-redex; None iff t is beta-normal.
 
     The redex chosen is the first found depth-first visiting each node
-    before its function child before its argument child.
+    before its function child before its argument child: the first step of
+    `beta_normalize`.
     """
-    if isinstance(t, Var):
-        return None
-    if isinstance(t, Lam):
-        body = beta_step_normal_order(t.body)
-        return None if body is None else Lam(t.binder, body)
-    if isinstance(t.fn, Lam):
-        return substitute(t.fn.body, {t.fn.binder: t.arg})
-    fn = beta_step_normal_order(t.fn)
-    if fn is not None:
-        return App(fn, t.arg)
-    arg = beta_step_normal_order(t.arg)
-    return None if arg is None else App(t.fn, arg)
-
-
-def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
-    steps = 0
-    while steps < fuel.max_steps:
-        nxt = beta_step_normal_order(t)
-        if nxt is None:
-            return Normal(t, steps)
-        t = nxt
-        steps += 1
-    if beta_step_normal_order(t) is None:
-        return Normal(t, steps)
-    return OutOfFuel(t, steps)
+    out = beta_normalize(t, Fuel(1))
+    return out.term if out.steps else None
 
 
 def _has_beta_redex(t: Term) -> bool:

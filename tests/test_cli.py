@@ -164,10 +164,17 @@ def test_numeral_rejects_negative_index(capsys):
     assert err == "numerals are indexed by naturals, got -3\n"
 
 
+def test_numeral_deeper_than_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, "numeral", "church", "30000")
+    assert code == 0
+    assert out == r"\f.\x." + "f (" * 29_999 + "f x" + ")" * 29_999 + "\n"
+
+
 def test_check_with_no_cases_is_inconclusive(capsys):
     code, out, _ = run(capsys, "check", "church", "all", "--upto", "0")
     assert code == 3
-    assert "succ: inconclusive (0 passed" in out and "pred: inconclusive (0 passed" in out
+    for comb in ("succ", "pred", "zero"):
+        assert f"{comb}: inconclusive (0 passed" in out
 
 
 def test_definable_with_no_cases_is_inconclusive(capsys):

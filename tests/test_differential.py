@@ -1,10 +1,12 @@
 """The engine against the named engine kept in tests/oracle.py.
 
-Free variables are cached on abstractions and `substitute` skips the
-abstractions in which nothing it replaces is free.  Neither may change a
-result: every term must come out structurally equal to the oracle's, with
-the same binder names, and every step count must be the same.  The inputs
-are seeded termgen corpora, real contract terms and a hypothesis strategy.
+Free variables are cached on abstractions, `substitute` skips the
+abstractions in which nothing it replaces is free, and `beta_normalize`
+reduces in one pass instead of searching again from the root after every
+step.  None of these may change a result: every term must come out
+structurally equal to the oracle's, with the same binder names, and every
+step count must be the same, at every fuel.  The inputs are seeded termgen
+corpora, real contract and `k` terms and a hypothesis strategy.
 """
 
 import copy
@@ -16,18 +18,25 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from numlam import (
     App,
+    F,
     Fuel,
     Lam,
+    Normal,
+    OutOfFuel,
+    T,
     Var,
     app,
     beta_eta_normalize,
     beta_normalize,
+    beta_step_normal_order,
     builtin_system,
     church,
     church_k_term,
     free_vars,
     is_beta_eta_normal,
     mk_pair,
+    parse_term,
+    spz_from_k,
     substitute,
 )
 from termgen import (
@@ -146,6 +155,104 @@ def test_beta_normalize_matches_oracle_on_contract_terms():
 
 
 # ---------------------------------------------------------------------------
+# Normal order, fuel by fuel
+
+def oracle_chain(t, limit):
+    """The oracle's normal-order states of t, at most `limit` steps of them,
+    and whether the last one is beta-normal."""
+    chain = [t]
+    while len(chain) <= limit:
+        nxt = oracle.beta_step_normal_order(chain[-1])
+        if nxt is None:
+            return chain, True
+        chain.append(nxt)
+    return chain, False
+
+
+def assert_fuel_ladder(t, limit):
+    """At every fuel from 1 to the oracle's step count + 1, beta_normalize
+    gives what oracle.beta_normalize gives: the outcome type, the term,
+    partial or normal, and the steps.
+
+    oracle.beta_normalize(t, Fuel(f)) iterates the oracle's stepper, so it
+    is OutOfFuel(chain[f], f) below the step count and the last state from
+    there on; it is also called directly at both ends of the ladder.  When
+    the chain was cut at `limit` steps, the ladder stops below the cut.
+    """
+    chain, normal = oracle_chain(t, limit)
+    steps = len(chain) - 1
+    top = steps + 1 if normal else steps - 1
+    for f in range(1, top + 1):
+        if f >= steps:
+            expected = Normal(chain[-1], steps)
+        else:
+            expected = OutOfFuel(chain[f], f)
+        assert beta_normalize(t, Fuel(f)) == expected
+        if f in (1, top):
+            assert oracle.beta_normalize(t, Fuel(f)) == expected
+    # The single stepper follows the same chain and stops where it ends.
+    term = t
+    for state in chain[1:]:
+        term = beta_step_normal_order(term)
+        assert term == state
+    if normal:
+        assert beta_step_normal_order(term) is None
+        # A normal input comes back as the very same object.
+        assert beta_normalize(term).term is term
+        assert beta_normalize(chain[-1]).term is chain[-1]
+    return steps if normal else None
+
+
+def test_fuel_ladder_matches_oracle_on_seeded_corpus():
+    rng = random.Random(1205)
+    normal = []
+    for _ in range(150):
+        for t in (
+            random_term(rng, rng.randint(1, 25)),
+            random_closed_term(rng, rng.randint(2, 25)),
+            beta_expand(random_hnf(rng), rng, rng.randint(1, 10)),
+        ):
+            normal.append(assert_fuel_ladder(t, 60))
+    assert normal.count(0) > 100
+    assert sum(1 for n in normal if n) > 200
+
+
+# Terms without a normal form: every fuel leaves a partial term, some with
+# the redex under binders or in argument position, some growing.
+DIVERGENT = (
+    r"(\x.x x) (\x.x x)",
+    r"(\x.x x x) (\x.x x x)",
+    r"\f.(\x.f (x x)) (\x.f (x x))",
+    r"\y.y ((\x.\z.z (x x)) (\x.\z.z (x x))) ((\x.x) y)",
+    r"(\x.\y.x y x) (\u.u) ((\x.x x) (\x.x x))",
+    r"(\f.(\x.f (x x)) (\x.f (x x))) (\s.\n.n (s n))",
+)
+
+
+def test_fuel_ladder_matches_oracle_on_divergent_terms():
+    for text in DIVERGENT:
+        assert assert_fuel_ladder(parse_term(text), 60) is None
+
+
+def test_fuel_ladder_matches_oracle_on_contract_and_k_terms():
+    for name in ("church", "barendregt", "a", "b", "tilde", "c"):
+        system = builtin_system(name)
+        for comb in (system.successor, system.predecessor, system.zero_test):
+            if comb is not None:
+                for n in range(3):
+                    assert assert_fuel_ladder(app(comb, system.numeral(n)), 1_000)
+    church_system = builtin_system("church")
+    k = church_k_term()
+    for n in range(4):
+        for m in range(4):
+            assert assert_fuel_ladder(app(k, church(n), church(m)), 1_000)
+    w10 = Lam("n", app(Var("n"), Lam("x", T), F))
+    for comb in spz_from_k(church_system, k, w10):
+        for n in range(3):
+            assert assert_fuel_ladder(app(comb, church(n)), 1_000)
+
+
+# ---------------------------------------------------------------------------
 # Generated by hypothesis
 
 names = st.sampled_from(NAMES)
@@ -171,6 +278,12 @@ def test_substitute_matches_oracle_on_generated_terms(t, s):
 @given(terms)
 def test_beta_normalize_matches_oracle_on_generated_terms(t):
     assert_normalizes_like_oracle(t, Fuel(50))
+
+
+@DIFFERENTIAL
+@given(terms)
+def test_fuel_ladder_matches_oracle_on_generated_terms(t):
+    assert_fuel_ladder(t, 30)
 
 
 # ---------------------------------------------------------------------------

@@ -161,8 +161,10 @@ def test_reports_never_pass_with_unknowns():
 
 def test_reports_never_pass_with_no_cases():
     assert CheckReport("nothing").overall == "inconclusive"
-    report = check_successor(CHURCH, CHURCH.successor, 0)
-    assert report.cases == () and report.overall == "inconclusive"
+    for check, comb in ((check_successor, CHURCH.successor),
+                        (check_zero_test, CHURCH.zero_test)):
+        report = check(CHURCH, comb, 0)
+        assert report.cases == () and report.overall == "inconclusive"
     report = check_definable(CHURCH, CHURCH.successor, NumericFunction(1, lambda n: n + 1), [])
     assert report.to_dict()["overall"] == "inconclusive"
 

@@ -14,6 +14,7 @@ from numlam import (
     Var,
     alpha_eq,
     church,
+    app,
     mk_pair,
     parse_program,
     parse_term,
@@ -122,6 +123,18 @@ def test_pretty_deterministic():
     t1 = parse_term(r"\x.x (y z)")
     t2 = parse_term(r"\x.x (y z)")
     assert pretty(t1) == pretty(t2)
+
+
+def test_pretty_is_stack_safe():
+    # Deeper than the recursion limit the tests run under.
+    depth = 30_000
+    assert pretty(church(depth)) == r"\f.\x." + "f (" * (depth - 1) + "f x" + ")" * (depth - 1)
+    spine = app(Var("f"), *[I] * depth)
+    assert pretty(spine) == "f" + r" (\x.x)" * depth
+    nested = Var("y")
+    for _ in range(depth):
+        nested = Lam("x", App(Var("x"), nested))
+    assert pretty(nested) == r"\x.x (" * (depth - 1) + r"\x.x y" + ")" * (depth - 1)
 
 
 def test_round_trip_random_terms():

@@ -63,6 +63,25 @@ def test_beta_normalize_successor_application():
     assert alpha_eq(out.term, barendregt(1))
 
 
+def test_beta_normalize_is_stack_safe():
+    # λf.λx.f (f (… ((λy.y) x))) with the one redex 30,000 levels down,
+    # deeper than the recursion limit the tests run under.
+    depth = 30_000
+    body = App(Lam("y", Var("y")), Var("x"))
+    for _ in range(depth):
+        body = App(Var("f"), body)
+    t = Lam("f", Lam("x", body))
+    out = beta_normalize(t)
+    assert isinstance(out, Normal) and out.steps == 1
+    assert beta_normalize(out.term).term is out.term
+    # Dataclass == recurses, so walk the result down its spine.
+    node = out.term.body.body
+    for _ in range(depth):
+        assert node.fn == Var("f")
+        node = node.arg
+    assert node == Var("x")
+
+
 def test_beta_normalize_omega_runs_out_of_fuel():
     out = beta_normalize(OMEGA, Fuel(100))
     assert isinstance(out, OutOfFuel)
