@@ -1,9 +1,10 @@
 """Command-line front door.
 
 Commands: eval, numeral, check, head, eq, definable.  Results go to stdout,
-diagnostics to stderr.  Exit codes: 0 success/pass, 1 failure or bad input,
-2 out of fuel, 3 inconclusive (fuel ran out inside a check, the check had no
-cases, or the requested combinator is absent).
+diagnostics to stderr.  Exit codes: 0 success/pass, 1 failure or bad input
+(including a term that nests too deep for the engine's recursive walks, which
+gets a one-line message), 2 out of fuel, 3 inconclusive (fuel ran out inside
+a check, the check had no cases, or the requested combinator is absent).
 """
 
 from __future__ import annotations
@@ -165,19 +166,20 @@ def cmd_head(args) -> int:
     term = parse_term(args.term, _environment(args))
     result = head_reduce(term, Fuel(args.fuel))
     trace = result.trace
-    lines = []
-    if args.trace:
-        lines.extend(pretty(state) for state in trace.states)
-    else:
-        lines.append(pretty(trace.final))
+    final = pretty(trace.final)
     payload = {
         "format": REPORT_FORMAT,
         "status": "hnf" if result.reached_hnf else "out_of_fuel",
         "h": trace.length,
-        "final": pretty(trace.final),
+        "final": final,
     }
     if args.trace:
-        payload["states"] = [pretty(state) for state in trace.states]
+        states = [pretty(state) for state in trace.states[:-1]]
+        states.append(final)
+        payload["states"] = states
+        lines = list(states)
+    else:
+        lines = [final]
     if result.reached_hnf:
         lines.append(f"h = {trace.length}")
         _emit(args, payload, lines)
@@ -324,6 +326,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAIL
     except OSError as err:
         print(str(err), file=sys.stderr)
+        return EXIT_FAIL
+    except RecursionError:
+        # Some term walks still recurse once per nesting level.
+        print("term nests too deep for the engine", file=sys.stderr)
         return EXIT_FAIL
 
 

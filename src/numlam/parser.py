@@ -57,10 +57,6 @@ class Program:
 
 EMPTY_PROGRAM = Program()
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_WS = re.compile(r"\s+")
-_COMMENT = re.compile(r"--[^\n]*")
-
 _PUNCT = {
     "\\": "lambda",
     "λ": "lambda",
@@ -74,30 +70,33 @@ _PUNCT = {
     ";": "semi",
 }
 
+# Every piece of the text, in order: a run of whitespace, a comment, an
+# identifier or any other single character.
+_PIECE = re.compile(r"\s+|--[^\n]*|[A-Za-z_][A-Za-z0-9_']*|.", re.S)
+# Token kind by the first character of a piece; whitespace and comments
+# have none.
+_KIND = dict(_PUNCT)
+_KIND.update(
+    dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident")
+)
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        m = _WS.match(text, i) or _COMMENT.match(text, i)
-        if m:
-            i = m.end()
-            continue
-        ch = text[i]
-        kind = _PUNCT.get(ch)
-        if kind:
-            toks.append((kind, ch, i))
-            i += 1
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            toks.append(("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(i, "a term", ch)
-    toks.append(("eof", "", n))
+    pos = 0
+    for piece in _PIECE.findall(text):
+        kind = _KIND.get(piece[0])
+        if kind is not None:
+            toks.append((kind, piece, pos))
+        elif not (piece.isspace() or piece.startswith("--")):
+            raise ParseError(pos, "a term", piece)
+        pos += len(piece)
+    toks.append(("eof", "", pos))
     return toks
+
+
+def _unexpected(tok, what: str) -> ParseError:
+    return ParseError(tok[2], what, tok[1] or "end of input")
 
 
 class _Tokens:
@@ -116,52 +115,95 @@ class _Tokens:
     def expect(self, kind: str, what: str):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(tok[2], what, tok[1] or "end of input")
+            raise _unexpected(tok, what)
         return tok
 
 
 _ATOM_STARTS = frozenset(["ident", "lparen", "langle"])
 
+# Frames of the parser's stack, one for each construct still open around
+# the token being read:
+#   (_LAM, binders)          λbinders. whose body is being read
+#   (_PAREN, acc)            '(' ... ')'; acc is the application the group
+#                            extends, None when the group comes first
+#   (_PAIR1, acc)            '<' ... ',' ... '>' at its first component
+#   (_PAIR2, acc, first)     the same at its second component
+_LAM, _PAREN, _PAIR1, _PAIR2 = range(4)
+
 
 def _term(ts: _Tokens) -> Term:
-    if ts.peek()[0] == "lambda":
-        ts.next()
-        binders = []
-        while ts.peek()[0] == "ident":
-            binders.append(ts.next()[1])
-        if not binders:
-            tok = ts.peek()
-            raise ParseError(tok[2], "a binder name", tok[1] or "end of input")
-        ts.expect("dot", "'.'")
-        body = _term(ts)
-        for b in reversed(binders):
-            body = Lam(b, body)
-        return body
-    return _app(ts)
+    """Parse one term, leaving ts at the first token after it.
 
-
-def _app(ts: _Tokens) -> Term:
-    t = _atom(ts)
-    while ts.peek()[0] in _ATOM_STARTS:
-        t = App(t, _atom(ts))
-    return t
-
-
-def _atom(ts: _Tokens) -> Term:
-    kind, value, pos = ts.next()
-    if kind == "ident":
-        return Var(value)
-    if kind == "lparen":
-        t = _term(ts)
-        ts.expect("rparen", "')'")
-        return t
-    if kind == "langle":
-        first = _term(ts)
-        ts.expect("comma", "','")
-        second = _term(ts)
-        ts.expect("rangle", "'>'")
-        return mk_pair(first, second)
-    raise ParseError(pos, "a term", value or "end of input")
+    One loop over an explicit stack of open constructs, so nesting depth is
+    not bounded by the recursion limit.  `acc` is the application read so
+    far in the innermost open term, None at its start.  A term ends at the
+    first token that cannot start an atom, so an abstraction is only read
+    where acc is None, as the grammar requires.
+    """
+    toks = ts.toks
+    i = ts.i
+    stack: list = []
+    acc = None
+    while True:
+        tok = toks[i]
+        i += 1
+        kind = tok[0]
+        if kind == "ident":
+            t = Var(tok[1])
+        elif kind == "lparen":
+            stack.append((_PAREN, acc))
+            acc = None
+            continue
+        elif kind == "langle":
+            stack.append((_PAIR1, acc))
+            acc = None
+            continue
+        elif kind == "lambda":
+            binders = []
+            while toks[i][0] == "ident":
+                binders.append(toks[i][1])
+                i += 1
+            tok = toks[i]
+            if not binders:
+                raise _unexpected(tok, "a binder name")
+            i += 1
+            if tok[0] != "dot":
+                raise _unexpected(tok, "'.'")
+            stack.append((_LAM, binders))
+            continue
+        else:
+            raise _unexpected(tok, "a term")
+        # t is a whole atom: extend the application, or end the term and
+        # close the constructs it completes.
+        while True:
+            acc = t if acc is None else App(acc, t)
+            if toks[i][0] in _ATOM_STARTS:
+                break
+            t = acc
+            while stack and stack[-1][0] == _LAM:
+                for b in reversed(stack.pop()[1]):
+                    t = Lam(b, t)
+            if not stack:
+                ts.i = i
+                return t
+            frame = stack.pop()
+            tok = toks[i]
+            i += 1
+            if frame[0] == _PAREN:
+                if tok[0] != "rparen":
+                    raise _unexpected(tok, "')'")
+                acc = frame[1]
+            elif frame[0] == _PAIR1:
+                if tok[0] != "comma":
+                    raise _unexpected(tok, "','")
+                stack.append((_PAIR2, frame[1], t))
+                acc = None
+                break
+            else:
+                if tok[0] != "rangle":
+                    raise _unexpected(tok, "'>'")
+                acc = frame[1]
+                t = mk_pair(frame[2], t)
 
 
 def _inline(t: Term, env: Program | None) -> Term:

@@ -15,6 +15,13 @@ root.  Its invariant: it contracts the leftmost-outermost redexes that a
 search from the root after each step would, in the same order, so the step
 counts and, at every fuel, the partial term are those of step-by-step
 reduction.  `beta_step_normal_order` is one step of that pass.
+
+Head reduction runs on a machine state (binders, head, argument spine) in
+the manner of Krivine's machine: a step contracts the head redex in place
+of its spine, so it costs the redex body and not the length of the spine.
+`head_reduce` records each step as its state, and its trace builds the
+terms of the states only when they are read.  `head_step`, `head_redex` and
+`is_head_normal_form` use the same machine.
 """
 
 from __future__ import annotations
@@ -288,20 +295,90 @@ def beta_eta_eq(t1: Term, t2: Term, fuel: Fuel = DEFAULT_FUEL) -> EqVerdict:
 
 # ---------------------------------------------------------------------------
 # Head reduction
+#
+# The machine's state (binders, head, spine) stands for the term
+# λb1…λbk.(head V1 … Vm).  Both lists are persistent cons lists, None when
+# empty, so a step shares them with the state before it:
+#   binders   (name, rest), the innermost binder on top;
+#   spine     (app, rest), the applications whose function is head, the
+#             innermost on top; app.arg is an argument, the first on top.
+# The spine holds the application nodes rather than their arguments, so the
+# head redex of a term is one of its own subterms.
 
-@dataclass(frozen=True, slots=True)
+def _unwind(head: Term, binders, spine):
+    """Make the machine's moves that contract nothing: an application head
+    goes onto the spine, an abstraction with no argument onto the binders.
+    Stops at a variable head, which is head normal form, or at an
+    abstraction with an argument, when spine[0] is the head redex."""
+    while True:
+        if isinstance(head, App):
+            spine = (head, spine)
+            head = head.fn
+        elif isinstance(head, Lam) and spine is None:
+            binders = (head.binder, binders)
+            head = head.body
+        else:
+            return binders, head, spine
+
+
+def _state_term(binders, head: Term, spine) -> Term:
+    """The term a machine state stands for."""
+    while spine is not None:
+        node, spine = spine
+        head = App(head, node.arg)
+    while binders is not None:
+        name, binders = binders
+        head = Lam(name, head)
+    return head
+
+
 class HeadTrace:
-    """Successive states of a head reduction; length is the step count."""
+    """Successive states of a head reduction; length is the step count.
 
-    states: tuple[Term, ...]
+    The reduction records each step as its machine state, not as a term.
+    `states` builds the terms on first read and keeps them; states[0] is the
+    reduced term itself.  `final` builds only the last state.  Traces
+    compare, hash and print by their states.
+    """
+
+    __slots__ = ("_start", "_steps", "_final", "_states")
+
+    def __init__(self, start: Term, steps: list):
+        self._start = start
+        self._steps = steps
+        self._final = None
+        self._states = None
 
     @property
     def length(self) -> int:
-        return len(self.states) - 1
+        return len(self._steps)
 
     @property
     def final(self) -> Term:
-        return self.states[-1]
+        if self._final is None:
+            self._final = _state_term(*self._steps[-1]) if self._steps else self._start
+        return self._final
+
+    @property
+    def states(self) -> tuple[Term, ...]:
+        if self._states is None:
+            built = [self._start]
+            built += (_state_term(*step) for step in self._steps[:-1])
+            if self._steps:
+                built.append(self.final)
+            self._states = tuple(built)
+        return self._states
+
+    def __eq__(self, other):
+        if not isinstance(other, HeadTrace):
+            return NotImplemented
+        return self.states == other.states
+
+    def __hash__(self):
+        return hash(self.states)
+
+    def __repr__(self):
+        return f"HeadTrace(states={self.states!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,15 +390,8 @@ class HeadResult:
 def head_redex(t: Term) -> Term | None:
     """The head redex (λx.U V) of t, or None when t is in head normal form
     λx1…λxn.(x V1…Vm)."""
-    while isinstance(t, Lam):
-        t = t.body
-    redex = None
-    while isinstance(t, App):
-        redex = t
-        t = t.fn
-    if isinstance(t, Lam) and redex is not None:
-        return redex
-    return None
+    _, head, spine = _unwind(t, None, None)
+    return spine[0] if isinstance(head, Lam) else None
 
 
 def is_head_normal_form(t: Term) -> bool:
@@ -329,40 +399,36 @@ def is_head_normal_form(t: Term) -> bool:
 
 
 def head_step(t: Term) -> Term | None:
-    """Contract the head redex; None iff t is in head normal form."""
-    binders = []
-    body = t
-    while isinstance(body, Lam):
-        binders.append(body.binder)
-        body = body.body
-    spine = []
-    head = body
-    while isinstance(head, App):
-        spine.append(head.arg)
-        head = head.fn
-    if not (isinstance(head, Lam) and spine):
-        return None
-    spine.reverse()
-    new = substitute(head.body, {head.binder: spine[0]})
-    for a in spine[1:]:
-        new = App(new, a)
-    for b in reversed(binders):
-        new = Lam(b, new)
-    return new
+    """Contract the head redex; None iff t is in head normal form.  One step
+    of `head_reduce`."""
+    trace = head_reduce(t, Fuel(1)).trace
+    return trace.final if trace.length else None
 
 
 def head_reduce(t: Term, fuel: Fuel = DEFAULT_FUEL) -> HeadResult:
-    """Iterate head_step until head normal form or the fuel runs out.
-    The trace length is the head-reduction length between the endpoints."""
-    states = [t]
-    for _ in range(fuel.max_steps):
-        nxt = head_step(t)
-        if nxt is None:
-            return HeadResult(HeadTrace(tuple(states)), True)
-        t = nxt
-        states.append(t)
-    done = head_step(t) is None
-    return HeadResult(HeadTrace(tuple(states)), done)
+    """Head-reduce t until head normal form or the fuel runs out.
+    The trace length is the head-reduction length between the endpoints.
+
+    The reduction runs on a machine state (binders, head, spine) in the
+    manner of Krivine ("A call-by-name lambda-calculus machine", HOSC 20,
+    2007): a step contracts the head abstraction with the first argument on
+    the spine and leaves the rest of the spine and the binders as they are,
+    so it costs the redex body, not the length of the spine.  Each step is
+    recorded as its state; the trace builds terms from those only when they
+    are read.  When the fuel runs out the machine only tests for head normal
+    form, and contracts nothing more.
+    """
+    max_steps = fuel.max_steps
+    steps: list = []
+    binders, head, spine = _unwind(t, None, None)
+    while isinstance(head, Lam):
+        if len(steps) == max_steps:
+            return HeadResult(HeadTrace(t, steps), False)
+        node, spine = spine
+        head = substitute(head.body, {head.binder: node.arg})
+        steps.append((binders, head, spine))
+        binders, head, spine = _unwind(head, binders, spine)
+    return HeadResult(HeadTrace(t, steps), True)
 
 
 def solvable(t: Term, fuel: Fuel = DEFAULT_FUEL) -> int | None:

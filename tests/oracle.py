@@ -5,12 +5,16 @@ Each function below is a verbatim copy of the library code of that time:
 `fresh_name`, `mk_pair`, `free_vars`, `occurs_free` and `substitute` from
 `numlam.terms`; the beta and eta normalizers and `is_beta_eta_normal` from
 `numlam.reduction`, which here call the copied `substitute` and
-`occurs_free`.  Do not edit them to follow the library: they are what the
+`occurs_free`; and the head reduction of `numlam.reduction` as it was
+before it ran on a machine state, `HeadTrace`, `HeadResult`, `head_step`
+and `head_reduce`, whose `head_step` calls the copied `substitute` too.
+Do not edit them to follow the library: they are what the
 library must agree with, structurally and step for step.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 from numlam.reduction import DEFAULT_FUEL, Fuel, Normal, OutOfFuel, ReductionOutcome
@@ -196,3 +200,61 @@ def is_beta_eta_normal(t: Term) -> bool:
             stack.append(node.fn)
             stack.append(node.arg)
     return True
+
+
+@dataclass(frozen=True, slots=True)
+class HeadTrace:
+    """Successive states of a head reduction; length is the step count."""
+
+    states: tuple[Term, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.states) - 1
+
+    @property
+    def final(self) -> Term:
+        return self.states[-1]
+
+
+@dataclass(frozen=True, slots=True)
+class HeadResult:
+    trace: HeadTrace
+    reached_hnf: bool
+
+
+def head_step(t: Term) -> Term | None:
+    """Contract the head redex; None iff t is in head normal form."""
+    binders = []
+    body = t
+    while isinstance(body, Lam):
+        binders.append(body.binder)
+        body = body.body
+    spine = []
+    head = body
+    while isinstance(head, App):
+        spine.append(head.arg)
+        head = head.fn
+    if not (isinstance(head, Lam) and spine):
+        return None
+    spine.reverse()
+    new = substitute(head.body, {head.binder: spine[0]})
+    for a in spine[1:]:
+        new = App(new, a)
+    for b in reversed(binders):
+        new = Lam(b, new)
+    return new
+
+
+def head_reduce(t: Term, fuel: Fuel = DEFAULT_FUEL) -> HeadResult:
+    """Iterate head_step until head normal form or the fuel runs out.
+    The trace length is the head-reduction length between the endpoints."""
+    states = [t]
+    for _ in range(fuel.max_steps):
+        nxt = head_step(t)
+        if nxt is None:
+            return HeadResult(HeadTrace(tuple(states)), True)
+        t = nxt
+        states.append(t)
+    done = head_step(t) is None
+    return HeadResult(HeadTrace(tuple(states)), done)

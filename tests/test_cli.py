@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """Run the CLI in a new interpreter.  tests/conftest.py raises the
+    recursion limit of this process; the new one keeps Python's default."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "numlam.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def church_text(n):
+    return r"\f.\x." + "f (" * (n - 1) + "f x" + ")" * (n - 1)
 
 
 def test_eval_normal_form(capsys):
@@ -168,6 +188,22 @@ def test_numeral_deeper_than_the_recursion_limit(capsys):
     code, out, _ = run(capsys, "numeral", "church", "30000")
     assert code == 0
     assert out == r"\f.\x." + "f (" * 29_999 + "f x" + ")" * 29_999 + "\n"
+
+
+def test_eval_deep_numeral_at_the_default_recursion_limit():
+    code, out, err = run_fresh("eval", church_text(600))
+    assert code == 0, err
+    assert out == church_text(600) + "\nsteps: 0 beta, 0 eta\n"
+
+
+def test_eval_too_deep_for_the_engine_is_one_line():
+    code, out, err = run_fresh("eval", church_text(3_000))
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err == "term nests too deep for the engine\n"
+    else:
+        assert out.startswith(church_text(3_000) + "\n")
 
 
 def test_check_with_no_cases_is_inconclusive(capsys):

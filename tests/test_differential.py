@@ -1,12 +1,14 @@
 """The engine against the named engine kept in tests/oracle.py.
 
 Free variables are cached on abstractions, `substitute` skips the
-abstractions in which nothing it replaces is free, and `beta_normalize`
+abstractions in which nothing it replaces is free, `beta_normalize`
 reduces in one pass instead of searching again from the root after every
-step.  None of these may change a result: every term must come out
-structurally equal to the oracle's, with the same binder names, and every
-step count must be the same, at every fuel.  The inputs are seeded termgen
-corpora, real contract and `k` terms and a hypothesis strategy.
+step, and `head_reduce` runs on a machine state and builds the terms of its
+trace only when they are read.  None of these may change a result: every
+term must come out structurally equal to the oracle's, with the same binder
+names, and every step count must be the same, at every fuel.  The inputs
+are seeded termgen corpora, real contract and `k` terms and a hypothesis
+strategy.
 """
 
 import copy
@@ -33,7 +35,11 @@ from numlam import (
     church,
     church_k_term,
     free_vars,
+    head_redex,
+    head_reduce,
+    head_step,
     is_beta_eta_normal,
+    is_head_normal_form,
     mk_pair,
     parse_term,
     spz_from_k,
@@ -253,6 +259,104 @@ def test_fuel_ladder_matches_oracle_on_contract_and_k_terms():
 
 
 # ---------------------------------------------------------------------------
+# Head reduction, fuel by fuel
+
+def oracle_head_chain(t, limit):
+    """The oracle's head-reduction states of t, at most `limit` steps of
+    them, and whether the last one is in head normal form."""
+    chain = [t]
+    while len(chain) <= limit:
+        nxt = oracle.head_step(chain[-1])
+        if nxt is None:
+            return chain, True
+        chain.append(nxt)
+    return chain, False
+
+
+def assert_head_ladder(t, limit):
+    """At every fuel from 1 to the oracle's length + 1, head_reduce gives
+    what oracle.head_reduce gives: the length, whether head normal form was
+    reached, and every state; states[0] is t itself and final is the last
+    state, read before and after the states.
+
+    Below the oracle's length oracle.head_reduce(t, Fuel(f)) stops at
+    chain[f], which still has a head redex; from there on it is the whole
+    chain.  It is also called directly at both ends of the ladder.  When the
+    chain was cut at `limit` steps, the ladder stops below the cut.
+    """
+    chain, hnf = oracle_head_chain(t, limit)
+    steps = len(chain) - 1
+    top = steps + 1 if hnf else steps - 1
+    for f in range(1, top + 1):
+        length = min(f, steps)
+        expected = tuple(chain[:length + 1])
+        result = head_reduce(t, Fuel(f))
+        trace = result.trace
+        assert trace.length == length
+        assert result.reached_hnf == (f >= steps)
+        assert trace.final == expected[-1]
+        assert trace.states == expected
+        assert trace.states[0] is t
+        assert trace.final is trace.states[-1]
+        if f in (1, top):
+            old = oracle.head_reduce(t, Fuel(f))
+            assert (old.trace.length, old.reached_hnf) == (length, f >= steps)
+            assert old.trace.states == expected
+    # The single stepper follows the same chain and stops where it ends,
+    # and the head redex is there exactly when the oracle takes a step.
+    term = t
+    for state in chain[1:]:
+        assert head_redex(term) is not None and not is_head_normal_form(term)
+        term = head_step(term)
+        assert term == state
+    if hnf:
+        assert head_step(term) is None
+        assert head_redex(term) is None and is_head_normal_form(term)
+    return steps if hnf else None
+
+
+def test_head_ladder_matches_oracle_on_seeded_corpus():
+    rng = random.Random(1206)
+    lengths = []
+    for _ in range(150):
+        for t in (
+            random_term(rng, rng.randint(3, 40)),
+            random_closed_term(rng, rng.randint(2, 25)),
+            beta_expand(random_hnf(rng), rng, rng.randint(1, 10)),
+        ):
+            lengths.append(assert_head_ladder(t, 60))
+    assert lengths.count(0) > 100
+    assert sum(1 for n in lengths if n and n > 1) > 50
+
+
+# The divergent terms of the benchmark's head workload, and one whose
+# steps pass binders both before and after the redex.
+HEAD_DIVERGENT = (
+    r"(\x.x x x)(\x.x x x)",
+    r"(\x.x x)(\x.x x)",
+    r"(\x.\y.x x y)(\x.\y.x x y)",
+    r"\y.(\x.\z.x x z)(\x.\z.x x z) y",
+)
+
+
+def test_head_ladder_matches_oracle_on_divergent_terms():
+    for text in HEAD_DIVERGENT:
+        assert assert_head_ladder(parse_term(text), 60) is None
+    # Without a normal form, but some with a head normal form.
+    for text in DIVERGENT:
+        assert_head_ladder(parse_term(text), 60)
+
+
+def test_head_ladder_matches_oracle_on_contract_terms():
+    for name in ("church", "barendregt", "a", "b", "tilde", "c"):
+        system = builtin_system(name)
+        for comb in (system.successor, system.predecessor, system.zero_test):
+            if comb is not None:
+                for n in range(4):
+                    assert assert_head_ladder(app(comb, system.numeral(n)), 1_000) is not None
+
+
+# ---------------------------------------------------------------------------
 # Generated by hypothesis
 
 names = st.sampled_from(NAMES)
@@ -284,6 +388,12 @@ def test_beta_normalize_matches_oracle_on_generated_terms(t):
 @given(terms)
 def test_fuel_ladder_matches_oracle_on_generated_terms(t):
     assert_fuel_ladder(t, 30)
+
+
+@DIFFERENTIAL
+@given(terms)
+def test_head_ladder_matches_oracle_on_generated_terms(t):
+    assert_head_ladder(t, 30)
 
 
 # ---------------------------------------------------------------------------

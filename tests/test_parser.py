@@ -97,6 +97,27 @@ def test_syntax_error_carries_position():
     assert err.value.position == 3
 
 
+@pytest.mark.parametrize("parse, text, where", [
+    (parse_term, r"\x y", (4, "'.'", "end of input")),
+    (parse_term, r"\.x", (1, "a binder name", ".")),
+    (parse_term, r"(x y", (4, "')'", "end of input")),
+    (parse_term, r"<x y>", (4, "','", ">")),
+    (parse_term, r"<x,y", (4, "'>'", "end of input")),
+    (parse_term, r"x)", (1, "end of input", ")")),
+    (parse_term, r"a \x.x", (2, "end of input", "\\")),
+    (parse_term, "", (0, "a term", "end of input")),
+    (parse_term, "x - y", (2, "a term", "-")),
+    (parse_program, "a = x", (5, "';'", "end of input")),
+    (parse_program, "a x;", (2, "'='", "x")),
+    (parse_program, "= x;", (0, "a definition name", "=")),
+    (parse_program, "a = ;", (4, "a term", ";")),
+])
+def test_syntax_errors_say_where_and_what(parse, text, where):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.position, err.value.expected, err.value.found) == where
+
+
 def test_lambda_not_allowed_as_bare_argument():
     with pytest.raises(ParseError):
         parse_term(r"a \x.x")
@@ -135,6 +156,25 @@ def test_pretty_is_stack_safe():
     for _ in range(depth):
         nested = Lam("x", App(Var("x"), nested))
     assert pretty(nested) == r"\x.x (" * (depth - 1) + r"\x.x y" + ")" * (depth - 1)
+
+
+def test_parse_is_stack_safe():
+    # Deeper than the recursion limit the tests run under.
+    depth = 30_000
+    assert parse_term("(" * depth + "x" + ")" * depth) == Var("x")
+    t = parse_term("\\x." * depth + "x y")
+    for _ in range(depth):
+        assert isinstance(t, Lam) and t.binder == "x"
+        t = t.body
+    assert t == App(Var("x"), Var("y"))
+    numeral = r"\f.\x." + "f (" * (depth - 1) + "f x" + ")" * (depth - 1)
+    assert pretty(parse_term(numeral)) == numeral
+    pairs = parse_term("<" * depth + "x" + ",y>" * depth)
+    assert pretty(pairs).count("\\x") == depth
+    with pytest.raises(ParseError) as err:
+        parse_term("(" * depth + "x")
+    assert (err.value.position, err.value.expected, err.value.found) == (
+        depth + 1, "')'", "end of input")
 
 
 def test_round_trip_random_terms():
