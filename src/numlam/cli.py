@@ -75,14 +75,15 @@ def cmd_eval(args) -> int:
     term = parse_term(args.term, _environment(args))
     out = beta_eta_normalize(term, Fuel(args.fuel))
     if isinstance(out, Normal):
+        text = pretty(out.term)
         payload = {
             "format": REPORT_FORMAT,
             "status": "normal",
-            "term": pretty(out.term),
+            "term": text,
             "steps": out.steps,
             "eta_steps": out.eta_steps,
         }
-        _emit(args, payload, [pretty(out.term), f"steps: {out.steps} beta, {out.eta_steps} eta"])
+        _emit(args, payload, [text, f"steps: {out.steps} beta, {out.eta_steps} eta"])
         return EXIT_PASS
     payload = {
         "format": REPORT_FORMAT,

@@ -64,18 +64,29 @@ def check_system(sys: "NumeralSystem", upto: int = DEFAULT_UPTO) -> CheckReport:
     return CheckReport(f"{sys.name} well-formedness", tuple(cases))
 
 
+def _consecutive_numerals(sys: "NumeralSystem", upto: int):
+    """(n, d_n, d_{n+1}) for n below upto, each numeral built once and at
+    most two of them alive at a time."""
+    if upto < 1:
+        return
+    nxt = sys.numeral(0)
+    for n in range(upto):
+        cur, nxt = nxt, sys.numeral(n + 1)
+        yield n, cur, nxt
+
+
 def check_successor(sys: "NumeralSystem", s: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
     cases = [
-        eq_case(f"n={n}", app(s, sys.numeral(n)), sys.numeral(n + 1), fuel)
-        for n in range(upto)
+        eq_case(f"n={n}", app(s, dn), dn1, fuel)
+        for n, dn, dn1 in _consecutive_numerals(sys, upto)
     ]
     return CheckReport(f"{sys.name} successor", tuple(cases))
 
 
 def check_predecessor(sys: "NumeralSystem", p: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
     cases = [
-        eq_case(f"n={n + 1}", app(p, sys.numeral(n + 1)), sys.numeral(n), fuel)
-        for n in range(upto)
+        eq_case(f"n={n + 1}", app(p, dn1), dn, fuel)
+        for n, dn, dn1 in _consecutive_numerals(sys, upto)
     ]
     return CheckReport(f"{sys.name} predecessor", tuple(cases))
 

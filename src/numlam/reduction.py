@@ -14,7 +14,8 @@ resuming at each contraction site instead of searching again from the
 root.  Its invariant: it contracts the leftmost-outermost redexes that a
 search from the root after each step would, in the same order, so the step
 counts and, at every fuel, the partial term are those of step-by-step
-reduction.  `beta_step_normal_order` is one step of that pass.
+reduction.  `beta_step_normal_order` is one step of that pass.  The eta
+pass after it is a post-order walk over an explicit stack.
 
 Head reduction runs on a machine state (binders, head, argument spine) in
 the manner of Krivine's machine: a step contracts the head redex in place
@@ -192,21 +193,51 @@ def _is_eta_redex(binder: str, body: Term) -> bool:
     )
 
 
+# Marks, on the stack of _eta, that the node below it has had its children
+# walked and is to be rebuilt from their results.
+_REBUILD = object()
+
+
 def _eta(t: Term) -> tuple[Term, int]:
-    if isinstance(t, Var):
+    """Contract the eta-redexes of the beta-normal t, innermost first: the
+    eta-normal form and the number of contractions.  Unchanged subtrees
+    are shared with t, and an eta-normal t comes back as it is.
+
+    One post-order walk over an explicit stack, so the depth of t is not
+    bounded by the recursion limit: each node is visited, then its
+    children, then it is rebuilt from their results, which wait on a
+    second stack."""
+    # Most normal forms have no eta-redex, and finding that out takes one
+    # scan that rebuilds nothing.
+    if is_beta_eta_normal(t):
         return t, 0
-    if isinstance(t, App):
-        fn, a = _eta(t.fn)
-        arg, b = _eta(t.arg)
-        if fn is t.fn and arg is t.arg:
-            return t, 0
-        return App(fn, arg), a + b
-    body, n = _eta(t.body)
-    if _is_eta_redex(t.binder, body):
-        return body.fn, n + 1
-    if body is t.body:
-        return t, n
-    return Lam(t.binder, body), n
+    contracted = 0
+    done: list[Term] = []
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        if node is _REBUILD:
+            node = stack.pop()
+            if isinstance(node, App):
+                arg = done.pop()
+                fn = done.pop()
+                done.append(node if fn is node.fn and arg is node.arg else App(fn, arg))
+                continue
+            body = done.pop()
+            if _is_eta_redex(node.binder, body):
+                done.append(body.fn)
+                contracted += 1
+            elif body is node.body:
+                done.append(node)
+            else:
+                done.append(Lam(node.binder, body))
+        elif isinstance(node, Var):
+            done.append(node)
+        elif isinstance(node, App):
+            stack += (node, _REBUILD, node.arg, node.fn)
+        else:
+            stack += (node, _REBUILD, node.body)
+    return done[0], contracted
 
 
 def eta_normalize(t: Term) -> Term:

@@ -5,8 +5,14 @@ identifiers.  Structural equality of `Term` values is *not* alpha-equivalence;
 use `alpha_eq`, which compares the nameless (binder-depth indexed) forms
 produced by `to_indexed`.  All operations are pure.  The one piece of state
 is a cache on each `Lam` of its free variables, filled by `free_vars` on
-first use: it is a memo of the node's immutable subtree, so it never goes
-stale, and it takes no part in equality, hashing or `repr`.
+first use (and by `mk_pair`, which knows the set of the pair it builds): it
+is a memo of the node's immutable subtree, so it never goes stale, and it
+takes no part in equality, hashing or `repr`.
+
+`substitute` of one name, which is every beta contraction, walks with
+that name alone and asks for the free variables of the replacement only
+where a binder might capture it; several names take the simultaneous walk.
+Both give the same terms, binder names and shared nodes.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ IndexTerm = tuple
 
 Substitution = Mapping[str, Term]
 
+# The free variables of a closed term, shared.
+_NO_NAMES: frozenset[str] = frozenset()
+
 
 # ---------------------------------------------------------------------------
 # Construction helpers
@@ -85,9 +94,15 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
 
 
 def mk_pair(m: Term, n: Term) -> Term:
-    """The pair of m and n: λx.(x m n), binder chosen fresh for both."""
-    x = fresh_name("x", free_vars(m) | free_vars(n))
-    return Lam(x, App(App(Var(x), m), n))
+    """The pair of m and n: λx.(x m n), binder chosen fresh for both.
+
+    The binder is chosen outside the free variables of m and n, so those
+    are exactly the pair's, and they go into its free-variable cache."""
+    fv = free_vars(m) | free_vars(n)
+    x = fresh_name("x", fv) if "x" in fv else "x"
+    pair = Lam(x, App(App(Var(x), m), n))
+    object.__setattr__(pair, "_fv", fv or _NO_NAMES)
+    return pair
 
 
 def mk_tuple(us: list[Term]) -> Term:
@@ -114,9 +129,6 @@ def size(t: Term) -> int:
             stack.append(node.fn)
             stack.append(node.arg)
     return total
-
-
-_NO_NAMES: frozenset[str] = frozenset()
 
 
 def free_vars(t: Term) -> frozenset[str]:
@@ -182,44 +194,94 @@ def substitute(t: Term, s: Substitution) -> Term:
     replacement would otherwise be captured, so output is deterministic.
     Unchanged subtrees are shared with the input: an abstraction in which
     no substituted name is free is returned as it is, without a walk.
+
+    One binding, as in every beta contraction, takes its own walk: it
+    compares names with the one substituted name instead of looking them
+    up, and works out the free variables of the replacement only at the
+    first abstraction that the name is free in.  At the first binder that
+    the replacement would be captured by, it hands that subtree to the
+    simultaneous walk, which is then in exactly the state it would have
+    reached there by itself, so the renamings, binder names and shared
+    nodes are the same as the simultaneous walk's.
     """
+    if len(s) == 1:
+        ((x, arg),) = s.items()
+        return _substitute_one(t, x, arg)
     if not s:
         return t
     fvs = {k: free_vars(v) for k, v in s.items()}
-    risk = frozenset().union(*fvs.values())
+    return _substitute_many(t, dict(s), fvs, frozenset().union(*fvs.values()))
 
-    def go(node: Term, m: dict[str, Term], mfvs, mrisk):
-        if isinstance(node, Var):
-            return m.get(node.name, node)
-        if isinstance(node, App):
-            fn = go(node.fn, m, mfvs, mrisk)
-            arg = go(node.arg, m, mfvs, mrisk)
-            if fn is node.fn and arg is node.arg:
+
+def _substitute_one(t: Term, x: str, arg: Term) -> Term:
+    """t[x := arg]; the same result as _substitute_many(t, {x: arg}, ...)."""
+    arg_fv = None
+
+    def go(node: Term) -> Term:
+        nonlocal arg_fv
+        # Exact class tests: the hot path, and Var, Lam and App have no
+        # subclasses.
+        cls = type(node)
+        if cls is Var:
+            return arg if node.name == x else node
+        if cls is App:
+            fn = go(node.fn)
+            a = go(node.arg)
+            if fn is node.fn and a is node.arg:
                 return node
-            return App(fn, arg)
-        x = node.binder
-        m2 = m
-        if x in m2:
-            m2 = {k: v for k, v in m2.items() if k != x}
-        fv = free_vars(node)
-        if fv.isdisjoint(m2):
+            return App(fn, a)
+        b = node.binder
+        if b == x:
             return node
-        if x in mrisk and any(x in mfvs[k] for k in m2 if k in fv):
-            occurs = free_vars(node.body)
-            avoid = set(occurs)
-            for k in m2:
-                if k in occurs:
-                    avoid |= mfvs[k]
-            fresh = fresh_name(x, avoid)
-            m3 = dict(m2)
-            m3[x] = Var(fresh)
-            fvs3 = dict(mfvs)
-            fvs3[x] = {fresh}
-            body = go(node.body, m3, fvs3, mrisk | {fresh})
-            return Lam(fresh, body)
-        body = go(node.body, m2, mfvs, mrisk)
+        fv = node._fv
+        if fv is None:
+            fv = free_vars(node)
+        if x not in fv:
+            return node
+        if arg_fv is None:
+            arg_fv = free_vars(arg)
+        if b in arg_fv:
+            return _substitute_many(node, {x: arg}, {x: arg_fv}, arg_fv)
+        body = go(node.body)
         if body is node.body:
             return node
-        return Lam(x, body)
+        return Lam(b, body)
 
-    return go(t, dict(s), fvs, risk)
+    return go(t)
+
+
+def _substitute_many(node: Term, m: dict[str, Term], mfvs, mrisk) -> Term:
+    """node[m], where mfvs maps each name of m to its replacement's free
+    variables and mrisk is the union of those sets."""
+    if isinstance(node, Var):
+        return m.get(node.name, node)
+    if isinstance(node, App):
+        fn = _substitute_many(node.fn, m, mfvs, mrisk)
+        arg = _substitute_many(node.arg, m, mfvs, mrisk)
+        if fn is node.fn and arg is node.arg:
+            return node
+        return App(fn, arg)
+    x = node.binder
+    m2 = m
+    if x in m2:
+        m2 = {k: v for k, v in m2.items() if k != x}
+    fv = free_vars(node)
+    if fv.isdisjoint(m2):
+        return node
+    if x in mrisk and any(x in mfvs[k] for k in m2 if k in fv):
+        occurs = free_vars(node.body)
+        avoid = set(occurs)
+        for k in m2:
+            if k in occurs:
+                avoid |= mfvs[k]
+        fresh = fresh_name(x, avoid)
+        m3 = dict(m2)
+        m3[x] = Var(fresh)
+        fvs3 = dict(mfvs)
+        fvs3[x] = {fresh}
+        body = _substitute_many(node.body, m3, fvs3, mrisk | {fresh})
+        return Lam(fresh, body)
+    body = _substitute_many(node.body, m2, mfvs, mrisk)
+    if body is node.body:
+        return node
+    return Lam(x, body)

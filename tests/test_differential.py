@@ -1,7 +1,8 @@
 """The engine against the named engine kept in tests/oracle.py.
 
 Free variables are cached on abstractions, `substitute` skips the
-abstractions in which nothing it replaces is free, `beta_normalize`
+abstractions in which nothing it replaces is free and substitutes one name
+on a walk of its own, `mk_pair` fills the cache of its pair, `beta_normalize`
 reduces in one pass instead of searching again from the root after every
 step, and `head_reduce` runs on a machine state and builds the terms of its
 trace only when they are read.  None of these may change a result: every
@@ -22,6 +23,7 @@ from numlam import (
     App,
     F,
     Fuel,
+    I,
     Lam,
     Normal,
     OutOfFuel,
@@ -59,17 +61,21 @@ from termgen import (
 NAMES = BINDER_POOL + FREE_POOL
 
 
-def binders(t):
-    out = set()
+def preorder(t):
+    out = []
     stack = [t]
     while stack:
         node = stack.pop()
+        out.append(node)
         if isinstance(node, Lam):
-            out.add(node.binder)
             stack.append(node.body)
         elif isinstance(node, App):
-            stack.extend((node.fn, node.arg))
+            stack.extend((node.arg, node.fn))
     return out
+
+
+def binders(t):
+    return {node.binder for node in preorder(t) if isinstance(node, Lam)}
 
 
 def assert_free_vars_agree(t):
@@ -119,13 +125,59 @@ def test_substitute_leaves_untouched_abstractions_shared():
         assert out == oracle.substitute(t, s)
 
 
+def reused(out, t):
+    """For each node of out in preorder, the node of t it is, or None."""
+    ids = {id(node) for node in preorder(t)}
+    return [id(node) if id(node) in ids else None for node in preorder(out)]
+
+
+def test_one_binding_substitute_matches_oracle_on_seeded_corpus():
+    """Every beta contraction substitutes one name.  That takes its own
+    walk, which must give the oracle's result and reuse the same nodes of t
+    as the simultaneous walk."""
+    rng = random.Random(1207)
+    renamed = untouched = 0
+    for _ in range(2000):
+        t = random_term(rng, rng.randint(1, 30), free_pool=NAMES)
+        free = sorted(free_vars(t))
+        x = rng.choice(free) if free and rng.random() < 0.8 else rng.choice(NAMES)
+        # The replacement's free names are binder names of t, so binders
+        # capture it and get renamed.
+        arg = random_term(rng, rng.randint(1, 8), free_pool=BINDER_POOL)
+        # Now and then the replacement is one of the nodes it replaces:
+        # the abstractions around that node alone come back as they are.
+        occurrences = [node for node in preorder(t) if node == Var(x)]
+        if occurrences and rng.random() < 0.1:
+            arg = rng.choice(occurrences)
+        if rng.random() < 0.5:
+            free_vars(t)
+        out = substitute(t, {x: arg})
+        expected = oracle.substitute(t, {x: arg})
+        assert out == expected
+        assert_free_vars_agree(out)
+        # A second name that occurs nowhere sends the same work through the
+        # simultaneous walk.
+        both = substitute(t, {x: arg, "unused": I})
+        assert both == expected
+        assert reused(out, t) == reused(both, t)
+        if x not in oracle.free_vars(t):
+            assert out is t
+            untouched += 1
+        elif binders(expected) - binders(t) - binders(arg):
+            renamed += 1
+    assert renamed > 150
+    assert untouched > 150
+
+
 def test_mk_pair_matches_oracle_on_open_terms():
     rng = random.Random(1203)
     pool = ("x", "x'", "x''", "u")
     for _ in range(500):
         m = random_term(rng, rng.randint(1, 10), free_pool=pool)
         n = random_term(rng, rng.randint(1, 10), free_pool=pool)
-        assert mk_pair(m, n) == oracle.mk_pair(m, n)
+        pair = mk_pair(m, n)
+        assert pair == oracle.mk_pair(m, n)
+        assert_free_vars_agree(pair)
 
 
 def assert_normalizes_like_oracle(t, fuel):
@@ -379,6 +431,16 @@ def test_substitute_matches_oracle_on_generated_terms(t, s):
 
 
 @DIFFERENTIAL
+@given(terms, names, terms)
+def test_one_binding_substitute_matches_oracle_on_generated_terms(t, x, arg):
+    out = substitute(t, {x: arg})
+    assert out == oracle.substitute(t, {x: arg})
+    assert_free_vars_agree(out)
+    if x not in oracle.free_vars(t):
+        assert out is t
+
+
+@DIFFERENTIAL
 @given(terms)
 def test_beta_normalize_matches_oracle_on_generated_terms(t):
     assert_normalizes_like_oracle(t, Fuel(50))
@@ -412,3 +474,11 @@ def test_free_vars_cache_is_invisible():
         for clone in (copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
             assert clone == u
             assert free_vars(clone) == {"y"}
+    # mk_pair fills the cache of the pair it builds.
+    pair = mk_pair(t, Var("x"))
+    plain = Lam("x'", App(App(Var("x'"), fresh), Var("x")))
+    assert free_vars(pair) == {"x", "y"}
+    assert pair == plain and hash(pair) == hash(plain) and repr(pair) == repr(plain)
+    for clone in (copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+        assert clone == pair
+        assert free_vars(clone) == {"x", "y"}

@@ -103,6 +103,30 @@ def test_eta_keeps_self_application():
     assert eta_normalize(t) is t
 
 
+def test_eta_shares_untouched_subtrees():
+    t = parse_term(r"\a.a (\c.c c) (\x.y x)")
+    out = eta_normalize(t)
+    assert out == parse_term(r"\a.a (\c.c c) y")
+    assert out.body.fn.arg is t.body.fn.arg
+
+
+def test_eta_normalize_is_stack_safe():
+    # λf.f (f (… (λz.g z))) with the one eta-redex 30,000 levels down.
+    depth = 30_000
+    body = Lam("z", App(Var("g"), Var("z")))
+    for _ in range(depth):
+        body = App(Var("f"), body)
+    t = Lam("f", body)
+    out = beta_eta_normalize(t)
+    assert isinstance(out, Normal) and (out.steps, out.eta_steps) == (0, 1)
+    assert eta_normalize(out.term) is out.term
+    node = out.term.body
+    for _ in range(depth):
+        assert node.fn == Var("f")
+        node = node.arg
+    assert node == Var("g")
+
+
 def test_eta_cascades():
     assert eta_normalize(parse_term(r"\y.\x.y x")) == Lam("y", Var("y"))
 
