@@ -23,8 +23,8 @@ from .parser import (
     parse_term,
     pretty,
 )
-from .reduction import Fuel, Normal, beta_eta_eq, beta_eta_normalize, head_reduce
-from .report import REPORT_FORMAT
+from .reduction import Fuel, Normal, beta_eta_normalize, head_reduce
+from .report import REPORT_FORMAT, beta_eta_eq
 from .terms import F, I, T
 
 EXIT_PASS = 0
@@ -69,6 +69,29 @@ def _report_payload(reports: list[dict], extra: dict) -> dict:
     payload.update(extra)
     payload["reports"] = reports
     return payload
+
+
+def _report_lines(title: str, report) -> list[str]:
+    """The summary line of a report, then one line for each case that did
+    not pass."""
+    lines = [f"{title}: {report.overall} ({report.passed} passed, "
+             f"{report.failed} failed, {report.unknown} unknown)"]
+    for case in report.cases:
+        if not case.ok:
+            detail = f"  {case.label}: {case.verdict_text()}"
+            if case.witness:
+                detail += f" [{case.witness}]"
+            lines.append(detail)
+    return lines
+
+
+def _exit_code(overalls: list[str]) -> int:
+    """Any fail fails; otherwise anything inconclusive is inconclusive."""
+    if "fail" in overalls:
+        return EXIT_FAIL
+    if "inconclusive" in overalls:
+        return EXIT_INCONCLUSIVE
+    return EXIT_PASS
 
 
 def cmd_eval(args) -> int:
@@ -131,36 +154,21 @@ def cmd_check(args) -> int:
     }
     reports = []
     lines = []
-    any_fail = False
-    any_inconclusive = False
+    overalls = []
     for which in wanted:
         term = combinators[which]
         if term is None:
             reports.append({"which": which, "absent": True})
             lines.append(f"{which}: absent")
-            any_inconclusive = True
+            overalls.append("inconclusive")
             continue
         report = runners[which](system, term, args.upto, fuel)
         reports.append({"which": which, **report.to_dict()})
-        lines.append(f"{which}: {report.overall} ({report.passed} passed, "
-                     f"{report.failed} failed, {report.unknown} unknown)")
-        for case in report.cases:
-            if not case.ok:
-                detail = f"  {case.label}: {case.verdict_text()}"
-                if case.witness:
-                    detail += f" [{case.witness}]"
-                lines.append(detail)
-        if report.overall == "fail":
-            any_fail = True
-        elif report.overall == "inconclusive":
-            any_inconclusive = True
+        lines += _report_lines(which, report)
+        overalls.append(report.overall)
     payload = _report_payload(reports, {"system": args.system, "upto": args.upto})
     _emit(args, payload, lines)
-    if any_fail:
-        return EXIT_FAIL
-    if any_inconclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS
+    return _exit_code(overalls)
 
 
 def cmd_head(args) -> int:
@@ -226,23 +234,11 @@ def cmd_definable(args) -> int:
     else:
         points = [(n, m) for n in range(upto) for m in range(upto)]
     report = harness.check_definable(system, term, fn, points, Fuel(args.fuel))
-    lines = [f"{args.fn} on {args.system}: {report.overall} "
-             f"({report.passed} passed, {report.failed} failed, {report.unknown} unknown)"]
-    for case in report.cases:
-        if not case.ok:
-            detail = f"  {case.label}: {case.verdict_text()}"
-            if case.witness:
-                detail += f" [{case.witness}]"
-            lines.append(detail)
     payload = _report_payload(
         [report.to_dict()], {"system": args.system, "fn": args.fn, "upto": upto}
     )
-    _emit(args, payload, lines)
-    if report.overall == "fail":
-        return EXIT_FAIL
-    if report.overall == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS
+    _emit(args, payload, _report_lines(f"{args.fn} on {args.system}", report))
+    return _exit_code([report.overall])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -43,8 +43,7 @@ def check_system(sys: "NumeralSystem", upto: int = DEFAULT_UPTO) -> CheckReport:
     cases = []
     seen: dict[tuple, int] = {}
     collision = None
-    for n in range(upto):
-        t = sys.numeral(n)
+    for n, t in enumerate(_numerals(sys, upto)):
         cases.append(CheckCase(f"closed n={n}", is_closed(t)))
         cases.append(CheckCase(f"normal n={n}", is_beta_eta_normal(t)))
         key = to_indexed(t)
@@ -64,15 +63,24 @@ def check_system(sys: "NumeralSystem", upto: int = DEFAULT_UPTO) -> CheckReport:
     return CheckReport(f"{sys.name} well-formedness", tuple(cases))
 
 
+def _numerals(sys: "NumeralSystem", count: int):
+    """d_0, …, d_{count-1}, each built once: by the system's step around the
+    one before where the system has a step, else by `sys.numeral`."""
+    step = sys._step
+    for n in range(count):
+        d = sys.numeral(n) if step is None or n == 0 else step(n - 1, d)
+        yield d
+
+
 def _consecutive_numerals(sys: "NumeralSystem", upto: int):
-    """(n, d_n, d_{n+1}) for n below upto, each numeral built once and at
-    most two of them alive at a time."""
+    """(n, d_n, d_{n+1}) for n below upto, each numeral built once."""
     if upto < 1:
         return
-    nxt = sys.numeral(0)
-    for n in range(upto):
-        cur, nxt = nxt, sys.numeral(n + 1)
+    numerals = _numerals(sys, upto + 1)
+    cur = next(numerals)
+    for n, nxt in enumerate(numerals):
         yield n, cur, nxt
+        cur = nxt
 
 
 def check_successor(sys: "NumeralSystem", s: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
@@ -92,7 +100,10 @@ def check_predecessor(sys: "NumeralSystem", p: Term, upto: int = DEFAULT_UPTO, f
 
 
 def check_zero_test(sys: "NumeralSystem", z: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
-    cases = [eq_case(f"n={n}", app(z, sys.numeral(n)), F if n else T, fuel) for n in range(upto)]
+    cases = [
+        eq_case(f"n={n}", app(z, dn), F if n else T, fuel)
+        for n, dn in enumerate(_numerals(sys, upto))
+    ]
     return CheckReport(f"{sys.name} zero test", tuple(cases))
 
 

@@ -12,7 +12,7 @@ is shipped).  The contract for each slot is checked by the harness module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .report import CheckReport, eq_case
@@ -33,6 +33,10 @@ class NumeralSystem:
     successor: Term | None = None
     predecessor: Term | None = None
     zero_test: Term | None = None
+    # (n, d_n) -> d_{n+1} around the very d_n, for the systems whose numerals
+    # nest; the harness uses it to build numerals in order.  `numeral` loops
+    # over the same step, so both give == terms.
+    _step: Callable[[int, Term], Term] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -60,13 +64,22 @@ def church(n: int) -> Term:
     return Lam("f", Lam("x", body))
 
 
-def barendregt(n: int) -> Term:
-    """I for zero, then each successor wraps a pair ⟨F, previous⟩."""
+def _nested(step: Callable[[int, Term], Term], n: int) -> Term:
+    """d_n of a system whose d_0 is I and whose step gives d_{k+1} from d_k."""
     _require_natural(n)
     t: Term = I
-    for _ in range(n):
-        t = mk_pair(F, t)
+    for k in range(n):
+        t = step(k, t)
     return t
+
+
+def _barendregt_step(n: int, dn: Term) -> Term:
+    return mk_pair(F, dn)
+
+
+def barendregt(n: int) -> Term:
+    """I for zero, then each successor wraps a pair ⟨F, previous⟩."""
+    return _nested(_barendregt_step, n)
 
 
 def a_numeral(n: int) -> Term:
@@ -106,13 +119,16 @@ def tilde_numeral(n: int) -> Term:
     return Lam("x", body)
 
 
+def _c_step(e: SequenceSpec) -> Callable[[int, Term], Term]:
+    def step(n: int, dn: Term) -> Term:
+        return mk_pair(dn, e.element(n + 1))
+
+    return step
+
+
 def c_numeral(n: int, e: SequenceSpec) -> Term:
     """I for zero, then ⟨c_{n-1}, e_n⟩."""
-    _require_natural(n)
-    t: Term = I
-    for i in range(1, n + 1):
-        t = mk_pair(t, e.element(i))
-    return t
+    return _nested(_c_step(e), n)
 
 
 CHURCH_SEQUENCE = SequenceSpec("church", church)
@@ -144,6 +160,7 @@ def _barendregt_system() -> NumeralSystem:
         successor=Lam("x", mk_pair(F, Var("x"))),
         predecessor=Lam("x", App(Var("x"), F)),
         zero_test=Lam("x", App(Var("x"), T)),
+        _step=_barendregt_step,
     )
 
 
@@ -207,6 +224,7 @@ def _c_system(sequence: SequenceSpec) -> NumeralSystem:
         lambda n: c_numeral(n, sequence),
         predecessor=Lam("n", App(Var("n"), T)),
         zero_test=Lam("n", app(Var("n"), lam("x", "y", I), T, F, T)),
+        _step=_c_step(sequence),
     )
 
 

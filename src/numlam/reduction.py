@@ -3,9 +3,9 @@
 All reductions are fuel-bounded: beta-normalization of an arbitrary term may
 diverge, so every driver returns either a normal form with its step count or
 the partial term left when the budget ran out.  Equality of terms is the
-three-valued `beta_eta_eq`: Equal and Distinct are definitive (both sides
-reached beta-eta-normal form), Unknown means fuel ran out and is never
-collapsed to a definite answer.
+three-valued `EqVerdict` (decided by `report.beta_eta_eq`): Equal and
+Distinct are definitive (both sides reached beta-eta-normal form), Unknown
+means fuel ran out and is never collapsed to a definite answer.
 
 Beta-normalization is one iterative normal-order pass over a context stack
 (a zipper): it reduces the head of each spine, then goes on into binders
@@ -16,6 +16,13 @@ search from the root after each step would, in the same order, so the step
 counts and, at every fuel, the partial term are those of step-by-step
 reduction.  `beta_step_normal_order` is one step of that pass.  The eta
 pass after it is a post-order walk over an explicit stack.
+
+A closed abstraction that a pass returns as normal is marked so in its
+free-variable cache (see `terms`): beta-normal by `beta_normalize`,
+beta-eta-normal by the eta pass.  Every pass and scan here takes a marked
+abstraction as a normal leaf and does not walk into it, so a numeral that
+one check has normalized costs the next check nothing, and neither do the
+marked numerals nested inside a new one.
 
 Head reduction runs on a machine state (binders, head, argument spine) in
 the manner of Krivine's machine: a step contracts the head redex in place
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import App, Lam, Term, Var, alpha_eq, free_vars, substitute
+from .terms import _BETA_ETA_NORMAL, _BETA_NORMAL, _NO_NAMES, App, Lam, Term, Var, free_vars, substitute
 
 
 class NotBetaNormalError(ValueError):
@@ -108,6 +115,12 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     not bounded by the recursion limit; `substitute` still recurses on the
     body of each redex it contracts.
 
+    A marked abstraction (see `terms`) is a normal leaf: the pass does not
+    go into it, though it still contracts it when it is applied.  A normal
+    form that is an abstraction known to be closed comes back marked
+    beta-normal.  Only an abstraction whose cache already says it is closed
+    is marked, so no free-variable walk is made for it.
+
     The pass keeps its focus and the context above it as a stack of frames.
     Everything left of the focus in the order node, function, argument is
     beta-normal and no ancestor of the focus is a redex, so the next redex
@@ -135,9 +148,11 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
                 t = fn
             continue
         if isinstance(t, Lam):
-            stack.append((_BODY, t))
-            t = t.body
-            continue
+            fv = t._fv
+            if fv is not _BETA_NORMAL and fv is not _BETA_ETA_NORMAL:
+                stack.append((_BODY, t))
+                t = t.body
+                continue
         # The focus is normal: go up to the first argument not yet visited.
         while stack:
             frame = stack.pop()
@@ -152,6 +167,8 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
                 fn = frame[2]
                 t = node if fn is node.fn and t is node.arg else App(fn, t)
         else:
+            if isinstance(t, Lam) and t._fv is _NO_NAMES:
+                object.__setattr__(t, "_fv", _BETA_NORMAL)
             return Normal(t, steps)
 
 
@@ -171,7 +188,9 @@ def _has_beta_redex(t: Term) -> bool:
     while stack:
         node = stack.pop()
         if isinstance(node, Lam):
-            stack.append(node.body)
+            fv = node._fv
+            if fv is not _BETA_NORMAL and fv is not _BETA_ETA_NORMAL:
+                stack.append(node.body)
         elif isinstance(node, App):
             if isinstance(node.fn, Lam):
                 return True
@@ -206,10 +225,12 @@ def _eta(t: Term) -> tuple[Term, int]:
     One post-order walk over an explicit stack, so the depth of t is not
     bounded by the recursion limit: each node is visited, then its
     children, then it is rebuilt from their results, which wait on a
-    second stack."""
+    second stack.  An abstraction marked beta-eta-normal is a leaf, and a
+    closed one that comes back unchanged is marked so."""
     # Most normal forms have no eta-redex, and finding that out takes one
     # scan that rebuilds nothing.
     if is_beta_eta_normal(t):
+        _mark_beta_eta_normal(t)
         return t, 0
     contracted = 0
     done: list[Term] = []
@@ -228,16 +249,24 @@ def _eta(t: Term) -> tuple[Term, int]:
                 done.append(body.fn)
                 contracted += 1
             elif body is node.body:
+                _mark_beta_eta_normal(node)
                 done.append(node)
             else:
                 done.append(Lam(node.binder, body))
-        elif isinstance(node, Var):
-            done.append(node)
         elif isinstance(node, App):
             stack += (node, _REBUILD, node.arg, node.fn)
+        elif isinstance(node, Var) or node._fv is _BETA_ETA_NORMAL:
+            done.append(node)
         else:
             stack += (node, _REBUILD, node.body)
     return done[0], contracted
+
+
+def _mark_beta_eta_normal(t: Term) -> None:
+    """Mark t beta-eta-normal if it is an abstraction known to be closed;
+    t must be beta-eta-normal."""
+    if isinstance(t, Lam) and (t._fv is _NO_NAMES or t._fv is _BETA_NORMAL):
+        object.__setattr__(t, "_fv", _BETA_ETA_NORMAL)
 
 
 def eta_normalize(t: Term) -> Term:
@@ -264,6 +293,8 @@ def is_beta_eta_normal(t: Term) -> bool:
     while stack:
         node = stack.pop()
         if isinstance(node, Lam):
+            if node._fv is _BETA_ETA_NORMAL:
+                continue
             if _is_eta_redex(node.binder, node.body):
                 return False
             stack.append(node.body)
@@ -307,21 +338,6 @@ DISTINCT = EqVerdict("distinct")
 
 def unknown(reason: str) -> EqVerdict:
     return EqVerdict("unknown", reason)
-
-
-def beta_eta_eq(t1: Term, t2: Term, fuel: Fuel = DEFAULT_FUEL) -> EqVerdict:
-    """Equal iff both sides reach beta-eta-normal forms that are alpha-equal;
-    Distinct iff both normalize and the forms differ; Unknown otherwise."""
-    o1 = beta_eta_normalize(t1, fuel)
-    o2 = beta_eta_normalize(t2, fuel)
-    stuck = []
-    if isinstance(o1, OutOfFuel):
-        stuck.append(f"left side out of fuel after {o1.steps} steps")
-    if isinstance(o2, OutOfFuel):
-        stuck.append(f"right side out of fuel after {o2.steps} steps")
-    if stuck:
-        return unknown("; ".join(stuck))
-    return EQUAL if alpha_eq(o1.term, o2.term) else DISTINCT
 
 
 # ---------------------------------------------------------------------------

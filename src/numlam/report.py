@@ -100,19 +100,31 @@ class CheckReport:
         }
 
 
-def eq_case(label: str, lhs: Term, rhs: Term, fuel: Fuel = DEFAULT_FUEL) -> CheckCase:
-    """Build one case by normalizing both sides and comparing up to alpha.
-    On a definitive mismatch the witness records the left normal form."""
+def _normalize_and_compare(lhs: Term, rhs: Term, fuel: Fuel) -> tuple[EqVerdict, int, Term]:
+    """Beta-eta-normalize both sides and compare them up to alpha: the
+    verdict, the beta steps of both sides, and the left side's term."""
     left = beta_eta_normalize(lhs, fuel)
     right = beta_eta_normalize(rhs, fuel)
+    steps = left.steps + right.steps
     stuck = []
     if isinstance(left, OutOfFuel):
         stuck.append(f"left side out of fuel after {left.steps} steps")
     if isinstance(right, OutOfFuel):
         stuck.append(f"right side out of fuel after {right.steps} steps")
-    steps = left.steps + right.steps
     if stuck:
-        return CheckCase(label, unknown("; ".join(stuck)), steps=steps)
-    if alpha_eq(left.term, right.term):
-        return CheckCase(label, EQUAL, steps=steps)
-    return CheckCase(label, DISTINCT, steps=steps, witness=pretty(left.term))
+        return unknown("; ".join(stuck)), steps, left.term
+    return (EQUAL if alpha_eq(left.term, right.term) else DISTINCT), steps, left.term
+
+
+def beta_eta_eq(t1: Term, t2: Term, fuel: Fuel = DEFAULT_FUEL) -> EqVerdict:
+    """Equal iff both sides reach beta-eta-normal forms that are alpha-equal;
+    Distinct iff both normalize and the forms differ; Unknown otherwise."""
+    return _normalize_and_compare(t1, t2, fuel)[0]
+
+
+def eq_case(label: str, lhs: Term, rhs: Term, fuel: Fuel = DEFAULT_FUEL) -> CheckCase:
+    """`beta_eta_eq` as one labelled case with the steps of both sides.  On
+    a definitive mismatch the witness records the left normal form."""
+    verdict, steps, left = _normalize_and_compare(lhs, rhs, fuel)
+    witness = pretty(left) if verdict.is_distinct else None
+    return CheckCase(label, verdict, steps=steps, witness=witness)

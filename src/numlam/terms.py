@@ -2,12 +2,20 @@
 
 Terms are immutable trees of `Var`, `Lam`, and `App` nodes carrying string
 identifiers.  Structural equality of `Term` values is *not* alpha-equivalence;
-use `alpha_eq`, which compares the nameless (binder-depth indexed) forms
-produced by `to_indexed`.  All operations are pure.  The one piece of state
+use `alpha_eq`, one walk over both terms in step that pairs up their
+binders.  All operations are pure.  The one piece of state
 is a cache on each `Lam` of its free variables, filled by `free_vars` on
 first use (and by `mk_pair`, which knows the set of the pair it builds): it
 is a memo of the node's immutable subtree, so it never goes stale, and it
 takes no part in equality, hashing or `repr`.
+
+The cache of a closed abstraction may also hold one of two marks, empty sets
+that say its subtree is beta-normal (`_BETA_NORMAL`) or beta-eta-normal
+(`_BETA_ETA_NORMAL`).  The reductions set them on the closed normal forms
+they return and walk past a marked abstraction as a normal leaf.  A mark is
+still the empty set of free variables, so every reader of the cache works
+unchanged; `free_vars` never copies a mark into the cache of a parent, and
+pickle and deepcopy keep the very mark objects.
 
 `substitute` of one name, which is every beta contraction, walks with
 that name alone and asks for the free variables of the replacement only
@@ -30,9 +38,11 @@ class Var:
 class Lam:
     binder: str
     body: "Term"
-    # Free variables of this abstraction, set by free_vars.  Only Lam has
-    # the field: one more slot on every node would grow each App and Var too.
-    # The None default keeps copy.deepcopy and pickle working.
+    # Free variables of this abstraction, set by free_vars, or a mark of a
+    # closed normal form.  Only Lam has the field: one more slot on every
+    # node would grow each App and Var too, and a second field on Lam would
+    # slow down every Lam() that substitution builds.  The None default keeps
+    # copy.deepcopy and pickle working.
     _fv: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -57,6 +67,22 @@ Substitution = Mapping[str, Term]
 
 # The free variables of a closed term, shared.
 _NO_NAMES: frozenset[str] = frozenset()
+
+
+class _Mark(frozenset):
+    """The empty set of free variables of a closed abstraction that is known
+    to be normal.  Marks are told apart by identity; pickle and deepcopy
+    give back the very mark, by its name in this module."""
+
+    def __reduce__(self):
+        return self.name
+
+
+# The marks a closed abstraction's _fv may hold instead of _NO_NAMES.
+_BETA_NORMAL = _Mark()
+_BETA_NORMAL.name = "_BETA_NORMAL"
+_BETA_ETA_NORMAL = _Mark()
+_BETA_ETA_NORMAL.name = "_BETA_ETA_NORMAL"
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +166,10 @@ def free_vars(t: Term) -> frozenset[str]:
             fv = free_vars(t.body)
             if t.binder in fv:
                 fv = fv - {t.binder} or _NO_NAMES
+            elif not fv:
+                # The body may hand up a child's mark, which says nothing
+                # about this abstraction.
+                fv = _NO_NAMES
             object.__setattr__(t, "_fv", fv)
         return fv
     if isinstance(t, Var):
@@ -161,7 +191,8 @@ def is_closed(t: Term) -> bool:
 # Nameless form and alpha-equivalence
 
 def to_indexed(t: Term) -> IndexTerm:
-    """Convert to the nameless form; free variables keep their names."""
+    """Convert to the nameless form; free variables keep their names.  Equal
+    forms mean alpha-equal terms, so the form is a hash key for them."""
     levels: dict[str, list[int]] = {}
 
     def go(node: Term, depth: int) -> IndexTerm:
@@ -180,8 +211,57 @@ def to_indexed(t: Term) -> IndexTerm:
     return go(t, 0)
 
 
+# Stands first in a pair on the stack of alpha_eq whose second item holds
+# the binders to restore when the walk leaves a pair of abstractions.
+_LEAVE = object()
+
+
 def alpha_eq(t1: Term, t2: Term) -> bool:
-    return to_indexed(t1) == to_indexed(t2)
+    """True iff t1 and t2 differ only in the names of bound variables.
+
+    One iterative walk over both terms in step, so the depth of the terms
+    is not bounded by the recursion limit.  The walk numbers each pair of
+    abstractions it enters, and each side maps a name to the number of the
+    innermost binder of that name in scope: two variables agree when both
+    are bound by the same pair, or both are free and have the same name.
+    The walk stops at the first difference and builds no nameless form.
+
+    A subtree the two terms share is equal without a walk only when it is
+    an abstraction whose cache knows it is closed: a shared open subtree
+    can be bound differently on the two sides, as S = x is in λx.λy.S and
+    λy.λx.S.
+    """
+    levels1: dict[str, int | None] = {}
+    levels2: dict[str, int | None] = {}
+    entered = 0
+    stack: list = [t1, t2]
+    while stack:
+        b = stack.pop()
+        a = stack.pop()
+        if a is _LEAVE:
+            n1, old1, n2, old2 = b
+            levels1[n1] = old1
+            levels2[n2] = old2
+            continue
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is Var:
+            level = levels1.get(a.name)
+            if level != levels2.get(b.name) or (level is None and a.name != b.name):
+                return False
+        elif cls is App:
+            stack += (a.arg, b.arg, a.fn, b.fn)
+        else:
+            if a is b and a._fv is not None and not a._fv:
+                continue
+            n1 = a.binder
+            n2 = b.binder
+            stack += (_LEAVE, (n1, levels1.get(n1), n2, levels2.get(n2)), a.body, b.body)
+            entered += 1
+            levels1[n1] = entered
+            levels2[n2] = entered
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from numlam import alpha_eq, barendregt, church, parse_term
-from numlam.cli import main
+from numlam.cli import _exit_code, main
 
 
 def run(capsys, *argv):
@@ -83,6 +83,13 @@ def test_check_all_with_absent_is_inconclusive(capsys):
     code, out, _ = run(capsys, "check", "b", "all", "--upto", "10")
     assert code == 3
     assert "succ: pass" in out and "pred: absent" in out and "zero: pass" in out
+
+
+def test_a_failed_report_outranks_an_inconclusive_one():
+    # No built-in combinator fails its contract, so `check` cannot show this.
+    assert _exit_code(["pass", "inconclusive", "fail"]) == 1
+    assert _exit_code(["inconclusive", "pass"]) == 3
+    assert _exit_code(["pass", "pass"]) == 0
 
 
 def test_head_command(capsys):

@@ -4,12 +4,14 @@ Free variables are cached on abstractions, `substitute` skips the
 abstractions in which nothing it replaces is free and substitutes one name
 on a walk of its own, `mk_pair` fills the cache of its pair, `beta_normalize`
 reduces in one pass instead of searching again from the root after every
-step, and `head_reduce` runs on a machine state and builds the terms of its
-trace only when they are read.  None of these may change a result: every
-term must come out structurally equal to the oracle's, with the same binder
-names, and every step count must be the same, at every fuel.  The inputs
-are seeded termgen corpora, real contract and `k` terms and a hypothesis
-strategy.
+step, the reductions mark the closed normal forms they return and walk past
+marked ones, and `head_reduce` runs on a machine state and builds the terms
+of its trace only when they are read.  None of these may change a result:
+every term must come out structurally equal to the oracle's, with the same
+binder names, and every step count must be the same, at every fuel.
+`alpha_eq`, one walk over both terms in step, must agree with
+`termgen.oracle_alpha_eq`.  The inputs are seeded termgen corpora, real
+contract and `k` terms and hypothesis strategies.
 """
 
 import copy
@@ -29,7 +31,9 @@ from numlam import (
     OutOfFuel,
     T,
     Var,
+    alpha_eq,
     app,
+    barendregt,
     beta_eta_normalize,
     beta_normalize,
     beta_step_normal_order,
@@ -51,10 +55,18 @@ from termgen import (
     BINDER_POOL,
     FREE_POOL,
     beta_expand,
+    oracle_alpha_eq,
+    positions,
     random_closed_term,
     random_hnf,
     random_term,
+    rename_bound,
+    replace_at,
+    subterm_at,
 )
+from numlam.harness import _numerals
+from numlam.numerals import SequenceSpec
+from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL
 
 # Replacements draw their free names from the binder pool too, so they
 # collide with the binders of the term they go into and force renaming.
@@ -181,10 +193,14 @@ def test_mk_pair_matches_oracle_on_open_terms():
 
 
 def assert_normalizes_like_oracle(t, fuel):
-    assert beta_normalize(t, fuel) == oracle.beta_normalize(t, fuel)
+    beta = beta_normalize(t, fuel)
+    assert beta == oracle.beta_normalize(t, fuel)
     out = beta_eta_normalize(t, fuel)
     assert out == oracle.beta_eta_normalize(t, fuel)
     assert is_beta_eta_normal(out.term) == oracle.is_beta_eta_normal(out.term)
+    # A normal form is marked only when it is closed.
+    assert_free_vars_agree(beta.term)
+    assert_free_vars_agree(out.term)
 
 
 def test_beta_normalize_matches_oracle_on_seeded_corpus():
@@ -409,6 +425,146 @@ def test_head_ladder_matches_oracle_on_contract_terms():
 
 
 # ---------------------------------------------------------------------------
+# alpha_eq against the renaming oracle
+
+def lams(names, body):
+    for name in reversed(names):
+        body = Lam(name, body)
+    return body
+
+
+def shared_closed(rng):
+    """A closed abstraction whose cache knows it is closed: a pair, a
+    numeral marked by a reduction, or a term whose cache was filled."""
+    roll = rng.random()
+    if roll < 0.3:
+        return mk_pair(random_closed_term(rng, rng.randint(2, 8)), random_closed_term(rng, 4))
+    if roll < 0.6:
+        d = barendregt(rng.randint(0, 4))
+        beta_eta_normalize(d)
+        return d
+    t = random_closed_term(rng, rng.randint(2, 10))
+    free_vars(t)
+    return t
+
+
+def assert_alpha_eq_like_oracle(t1, t2):
+    expected = oracle_alpha_eq(t1, t2)
+    assert alpha_eq(t1, t2) == expected
+    assert alpha_eq(t2, t1) == expected
+    return expected
+
+
+def test_alpha_eq_matches_oracle_on_seeded_corpus():
+    """Unrelated pairs, renamed pairs, renamed pairs changed at one leaf,
+    and pairs that share one subtree object.  A shared closed subtree sits
+    at the same place in a term and in a renamed or unrelated term; a shared
+    open one sits under two lists of binders that bind its free names
+    differently, where taking the shared object as equal would be wrong."""
+    rng = random.Random(1301)
+    tally = {"equal": 0, "distinct": 0, "leaf equal": 0, "leaf distinct": 0,
+             "closed equal": 0, "open distinct": 0, "open equal": 0}
+    for _ in range(1000):
+        t1 = random_term(rng, rng.randint(1, 4))
+        t2 = random_term(rng, rng.randint(1, 4))
+        tally["equal" if assert_alpha_eq_like_oracle(t1, t2) else "distinct"] += 1
+    for _ in range(600):
+        t = random_term(rng, rng.randint(1, 25))
+        v = rename_bound(t, rng)
+        assert assert_alpha_eq_like_oracle(t, v)
+        leaves = [p for p in positions(v) if isinstance(subterm_at(v, p), Var)]
+        w = replace_at(v, rng.choice(leaves), Var(rng.choice(NAMES)))
+        tally["leaf equal" if assert_alpha_eq_like_oracle(t, w) else "leaf distinct"] += 1
+    for _ in range(600):
+        s = shared_closed(rng)
+        t = random_term(rng, rng.randint(1, 15))
+        where = rng.choice(positions(t))
+        other = rename_bound(t, rng) if rng.random() < 0.7 else random_term(rng, 6)
+        there = where if where in positions(other) else ()
+        if assert_alpha_eq_like_oracle(replace_at(t, where, s), replace_at(other, there, s)):
+            tally["closed equal"] += 1
+    for _ in range(600):
+        s = random_term(rng, rng.randint(1, 6), scope=rng.sample(BINDER_POOL, 2))
+        if rng.random() < 0.5:
+            free_vars(s)
+        k = rng.randint(1, 3)
+        b1 = rng.sample(BINDER_POOL, k)
+        b2 = rng.sample(b1, k) if rng.random() < 0.5 else rng.sample(BINDER_POOL, k)
+        key = "open equal" if assert_alpha_eq_like_oracle(lams(b1, s), lams(b2, s)) else "open distinct"
+        tally[key] += 1
+    assert min(tally.values()) > 40, tally
+    # The two terms of the docstring: K and K* share their body.
+    for shared in (Var("x"), Lam("z", Var("x"))):
+        free_vars(lams(["x"], shared))
+        assert not alpha_eq(lams(["x", "y"], shared), lams(["y", "x"], shared))
+        assert alpha_eq(lams(["x", "y"], shared), lams(["x", "z"], shared))
+
+
+def test_alpha_eq_is_stack_safe():
+    """30,000 nested binders and applications, deeper than the recursion
+    limit the tests run at."""
+    depth = 30_000
+
+    def deep(names, leaf):
+        body = Var(leaf)
+        for i in range(depth):
+            b = names[i % len(names)]
+            body = Lam(b, App(body, Var(b)))
+        return body
+
+    xyz, abc = ["x", "y", "z"], ["a", "b", "c"]
+    t = deep(xyz, "u")
+    assert alpha_eq(t, t)
+    assert alpha_eq(t, deep(abc, "u"))
+    assert not alpha_eq(t, deep(abc, "w"))  # free names differ
+    assert not alpha_eq(t, deep(abc, "a"))  # free against bound
+    t = deep(xyz, "y")
+    assert alpha_eq(t, deep(abc, "b"))
+    assert not alpha_eq(t, deep(abc, "c"))  # bound at different depths
+
+
+# ---------------------------------------------------------------------------
+# Marked normal forms
+
+def test_contract_terms_over_marked_numerals_normalize_like_oracle():
+    """The contract checks normalize numerals that nest numerals a check
+    before has marked; the marked parts must reduce as the oracle does."""
+    fuel = Fuel(100_000)
+    systems = (
+        builtin_system("barendregt"),
+        builtin_system("c"),
+        builtin_system("c", SequenceSpec("barendregt", barendregt)),
+    )
+    for system in systems:
+        numerals = list(_numerals(system, 8))
+        for d in numerals[::2]:
+            assert beta_eta_normalize(d) == oracle.beta_eta_normalize(d)
+        assert numerals[2]._fv in (_BETA_NORMAL, _BETA_ETA_NORMAL)
+        for comb in (system.successor, system.predecessor, system.zero_test):
+            if comb is None:
+                continue
+            for d in numerals:
+                t = App(comb, d)
+                assert beta_eta_normalize(t, fuel) == oracle.beta_eta_normalize(t, fuel)
+
+
+def test_a_mark_never_reaches_the_cache_of_a_parent():
+    """free_vars of an application hands up its function's set, which may
+    be a mark; the abstraction above must cache the plain empty set, or
+    its redex would never be contracted."""
+    d = barendregt(2)
+    beta_eta_normalize(d)
+    assert d._fv is _BETA_ETA_NORMAL
+    t = Lam("z", App(d, App(I, I)))
+    assert free_vars(t) == frozenset()
+    assert t._fv is not _BETA_NORMAL and t._fv is not _BETA_ETA_NORMAL
+    out = beta_normalize(t)
+    assert out.steps > 0
+    assert out == oracle.beta_normalize(t)
+    assert beta_eta_normalize(t) == oracle.beta_eta_normalize(t)
+
+
+# ---------------------------------------------------------------------------
 # Generated by hypothesis
 
 names = st.sampled_from(NAMES)
@@ -458,6 +614,21 @@ def test_head_ladder_matches_oracle_on_generated_terms(t):
     assert_head_ladder(t, 30)
 
 
+binder_lists = st.lists(names, max_size=3)
+
+
+@DIFFERENTIAL
+@given(terms, terms, binder_lists, binder_lists, terms, st.booleans())
+def test_alpha_eq_matches_oracle_on_generated_terms(t1, t2, b1, b2, shared, filled):
+    assert alpha_eq(t1, t2) == oracle_alpha_eq(t1, t2)
+    assert alpha_eq(t1, rename_bound(t1, random.Random(0)))
+    # One subtree object under two lists of binders, alone and in context.
+    if filled:
+        free_vars(shared)
+    assert_alpha_eq_like_oracle(lams(b1, shared), lams(b2, shared))
+    assert_alpha_eq_like_oracle(lams(b1, App(t1, shared)), lams(b2, App(t2, shared)))
+
+
 # ---------------------------------------------------------------------------
 # The cache itself
 
@@ -482,3 +653,18 @@ def test_free_vars_cache_is_invisible():
     for clone in (copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
         assert clone == pair
         assert free_vars(clone) == {"x", "y"}
+    # A closed normal form a reduction returned is marked in the same slot:
+    # beta-eta-normal for a barendregt numeral, only beta-normal for a c
+    # numeral over the Church sequence, whose e_1 = \f.\x.f x has an
+    # eta-redex.
+    d = barendregt(3)
+    assert beta_eta_normalize(d).term is d and d._fv is _BETA_ETA_NORMAL
+    e = builtin_system("c").numeral(2)
+    assert beta_normalize(e).term is e and e._fv is _BETA_NORMAL
+    for marked, plain in ((d, barendregt(3)), (e, builtin_system("c").numeral(2))):
+        assert marked == plain and hash(marked) == hash(plain) and repr(marked) == repr(plain)
+        for clone in (copy.deepcopy(marked), pickle.loads(pickle.dumps(marked))):
+            assert clone == marked and hash(clone) == hash(marked) and repr(clone) == repr(marked)
+            assert clone._fv is marked._fv
+            assert free_vars(clone) == frozenset()
+            assert beta_eta_normalize(clone) == beta_eta_normalize(plain)

@@ -34,6 +34,7 @@ from numlam import (
     to_indexed,
     tilde_numeral,
 )
+from numlam.harness import _numerals
 
 ALL_SYSTEMS = ["church", "barendregt", "a", "b", "bprime", "tilde", "c"]
 
@@ -199,3 +200,27 @@ def test_numeral_system_is_plain_data():
     assert isinstance(sys_, NumeralSystem)
     assert sys_.name == "barendregt"
     assert alpha_eq(sys_.numeral(1), mk_pair(F, I))
+
+
+STEPPED_SYSTEMS = {
+    "barendregt": builtin_system("barendregt"),
+    "c[church]": builtin_system("c"),
+    "c[barendregt]": builtin_system("c", SequenceSpec("barendregt", barendregt)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEPPED_SYSTEMS))
+def test_stepped_numerals_equal_random_access(name):
+    """The checks build the numerals of these systems in order, each by the
+    system's step around the very numeral before it.  Each must be == to
+    `numeral(n)`: at every n < 200 for barendregt, and for c, whose numerals
+    each cost O(n^2) to build afresh, at n < 30 and at n = 199, which holds
+    every stepped numeral before it nested inside."""
+    system = STEPPED_SYSTEMS[name]
+    stepped = list(_numerals(system, 200))
+    for n in range(1, 200):
+        body = stepped[n].body
+        assert stepped[n - 1] is (body.arg if name == "barendregt" else body.fn.arg)
+    checked = range(200) if name == "barendregt" else [*range(30), 199]
+    for n in checked:
+        assert stepped[n] == system.numeral(n)
