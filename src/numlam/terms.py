@@ -3,24 +3,28 @@
 Terms are immutable trees of `Var`, `Lam`, and `App` nodes carrying string
 identifiers.  Structural equality of `Term` values is *not* alpha-equivalence;
 use `alpha_eq`, one walk over both terms in step that pairs up their
-binders.  All operations are pure.  The one piece of state
-is a cache on each `Lam` of its free variables, filled by `free_vars` on
+binders.  All operations are pure.  The one piece of state is a cache on
+each `Lam` and each `App` of its free variables, filled by `free_vars` on
 first use (and by `mk_pair`, which knows the set of the pair it builds): it
 is a memo of the node's immutable subtree, so it never goes stale, and it
-takes no part in equality, hashing or `repr`.
+takes no part in equality, hashing or `repr`.  Caches that hold equal sets
+hold one object: a table in this module keeps each name's one-name set and
+each non-empty set that goes into a cache.
 
 The cache of a closed abstraction may also hold one of two marks, empty sets
 that say its subtree is beta-normal (`_BETA_NORMAL`) or beta-eta-normal
 (`_BETA_ETA_NORMAL`).  The reductions set them on the closed normal forms
 they return and walk past a marked abstraction as a normal leaf.  A mark is
 still the empty set of free variables, so every reader of the cache works
-unchanged; `free_vars` never copies a mark into the cache of a parent, and
-pickle and deepcopy keep the very mark objects.
+unchanged; `free_vars` never copies a mark into the cache of a parent, an
+application's included, and pickle and deepcopy keep the very mark objects.
 
-`substitute` of one name, which is every beta contraction, walks with
-that name alone and asks for the free variables of the replacement only
-where a binder might capture it; several names take the simultaneous walk.
-Both give the same terms, binder names and shared nodes.
+Both substitution walks return an abstraction or an application in which no
+substituted name is free as it is.  `substitute` of one name, which is every
+beta contraction, walks with that name alone and asks for the free
+variables of the replacement only where a binder might capture it; several
+names take the simultaneous walk.  Both give the same terms, binder names
+and shared nodes.
 """
 
 from __future__ import annotations
@@ -29,28 +33,57 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 
-@dataclass(frozen=True, slots=True)
+# The three node classes keep the frozen dataclass's ==, hash, repr, pickle,
+# deepcopy and FrozenInstanceError, but not its generated __init__, which
+# stores each field through object.__setattr__: a hand-written one stores
+# through the slot descriptors (taken below the classes), about twice as
+# fast, and every substitution and reduction step builds nodes.
+
+@dataclass(frozen=True, slots=True, init=False)
 class Var:
     name: str
 
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Lam:
     binder: str
     body: "Term"
     # Free variables of this abstraction, set by free_vars, or a mark of a
-    # closed normal form.  Only Lam has the field: one more slot on every
-    # node would grow each App and Var too, and a second field on Lam would
-    # slow down every Lam() that substitution builds.  The None default keeps
-    # copy.deepcopy and pickle working.
+    # closed normal form.  App has the same field and Var none: a one-name
+    # set is looked up by the name.  Kept out of ==, hash, repr and
+    # __match_args__; __init__ sets it to None, since copy.deepcopy and
+    # pickle read every slot.
     _fv: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __init__(self, binder: str, body: "Term") -> None:
+        _set_binder(self, binder)
+        _set_body(self, body)
+        _set_lam_fv(self, None)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class App:
     fn: "Term"
     arg: "Term"
+    # Free variables of this application, set by free_vars; never a mark.
+    _fv: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __init__(self, fn: "Term", arg: "Term") -> None:
+        _set_fn(self, fn)
+        _set_arg(self, arg)
+        _set_app_fv(self, None)
+
+
+_set_name = Var.name.__set__
+_set_binder = Lam.binder.__set__
+_set_body = Lam.body.__set__
+_set_lam_fv = Lam._fv.__set__
+_set_fn = App.fn.__set__
+_set_arg = App.arg.__set__
+_set_app_fv = App._fv.__set__
 
 Term = Union[Var, Lam, App]
 
@@ -67,6 +100,34 @@ Substitution = Mapping[str, Term]
 
 # The free variables of a closed term, shared.
 _NO_NAMES: frozenset[str] = frozenset()
+
+# One object per set of free names: each name's one-name set, and every
+# non-empty set a cache holds, so that caches that agree share their set.
+# The tables grow with the number of distinct sets of free names met, not
+# with the number of terms.  The empty set never goes in, so a mark (an
+# empty set too) never comes out.
+_NAME_SETS: dict[str, frozenset[str]] = {}
+_SETS: dict[frozenset[str], frozenset[str]] = {}
+
+
+def _name_set(name: str) -> frozenset[str]:
+    """The shared set {name}."""
+    fv = _NAME_SETS.get(name)
+    if fv is None:
+        fv = frozenset((name,))
+        fv = _NAME_SETS[name] = _SETS.setdefault(fv, fv)
+    return fv
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, for a cache: the shared object, or _NO_NAMES when empty.
+    a and b are cached sets, so an empty one may be a mark."""
+    if not b or b <= a:
+        return a or _NO_NAMES
+    if not a:
+        return b
+    fv = a | b
+    return _SETS.setdefault(fv, fv)
 
 
 class _Mark(frozenset):
@@ -124,10 +185,10 @@ def mk_pair(m: Term, n: Term) -> Term:
 
     The binder is chosen outside the free variables of m and n, so those
     are exactly the pair's, and they go into its free-variable cache."""
-    fv = free_vars(m) | free_vars(n)
+    fv = _union(free_vars(m), free_vars(n))
     x = fresh_name("x", fv) if "x" in fv else "x"
     pair = Lam(x, App(App(Var(x), m), n))
-    object.__setattr__(pair, "_fv", fv or _NO_NAMES)
+    _set_lam_fv(pair, fv)
     return pair
 
 
@@ -158,29 +219,30 @@ def size(t: Term) -> int:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """The names with a free occurrence in t.  Cached on each abstraction,
-    so asking again about a subtree already asked about costs nothing."""
-    if isinstance(t, Lam):
-        fv = t._fv
-        if fv is None:
-            fv = free_vars(t.body)
-            if t.binder in fv:
-                fv = fv - {t.binder} or _NO_NAMES
-            elif not fv:
-                # The body may hand up a child's mark, which says nothing
-                # about this abstraction.
-                fv = _NO_NAMES
-            object.__setattr__(t, "_fv", fv)
+    """The names with a free occurrence in t.  Cached on each abstraction
+    and application, so asking again about a subtree already asked about
+    costs nothing, and one object per set: equal answers are the same
+    object.  The answer for a marked abstraction is its mark."""
+    cls = type(t)
+    if cls is Var:
+        return _name_set(t.name)
+    fv = t._fv
+    if fv is not None:
         return fv
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    fn = free_vars(t.fn)
-    arg = free_vars(t.arg)
-    if not arg or arg <= fn:
-        return fn
-    if not fn:
-        return arg
-    return fn | arg
+    if cls is App:
+        # A child's mark says nothing about its parent: _union never hands
+        # one up.
+        fv = _union(free_vars(t.fn), free_vars(t.arg))
+        _set_app_fv(t, fv)
+        return fv
+    fv = free_vars(t.body)
+    if t.binder in fv:
+        fv = fv - {t.binder}
+        fv = _SETS.setdefault(fv, fv) if fv else _NO_NAMES
+    elif not fv:
+        fv = _NO_NAMES
+    _set_lam_fv(t, fv)
+    return fv
 
 
 def is_closed(t: Term) -> bool:
@@ -190,25 +252,43 @@ def is_closed(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Nameless form and alpha-equivalence
 
+# On the stack of to_indexed: the forms of an application's two children
+# are done, build its form.  A name on that stack means the walk leaves an
+# abstraction that binds it.
+_BUILD_APP = object()
+
+
 def to_indexed(t: Term) -> IndexTerm:
     """Convert to the nameless form; free variables keep their names.  Equal
-    forms mean alpha-equal terms, so the form is a hash key for them."""
+    forms mean alpha-equal terms, so the form is a hash key for them.
+
+    One post-order walk over an explicit stack, so the depth of t is not
+    bounded by the recursion limit; the forms of finished subtrees wait on
+    a second stack."""
     levels: dict[str, list[int]] = {}
-
-    def go(node: Term, depth: int) -> IndexTerm:
-        if isinstance(node, Var):
-            stack = levels.get(node.name)
-            if stack:
-                return ("bv", depth - 1 - stack[-1])
-            return ("fv", node.name)
-        if isinstance(node, Lam):
+    depth = 0
+    done: list[IndexTerm] = []
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Var:
+            bound = levels.get(node.name)
+            done.append(("bv", depth - 1 - bound[-1]) if bound else ("fv", node.name))
+        elif cls is App:
+            stack += (_BUILD_APP, node.arg, node.fn)
+        elif cls is Lam:
             levels.setdefault(node.binder, []).append(depth)
-            body = go(node.body, depth + 1)
-            levels[node.binder].pop()
-            return ("lam", body)
-        return ("app", go(node.fn, depth), go(node.arg, depth))
-
-    return go(t, 0)
+            depth += 1
+            stack += (node.binder, node.body)
+        elif node is _BUILD_APP:
+            arg = done.pop()
+            done[-1] = ("app", done[-1], arg)
+        else:
+            levels[node].pop()
+            depth -= 1
+            done[-1] = ("lam", done[-1])
+    return done[0]
 
 
 # Stands first in a pair on the stack of alpha_eq whose second item holds
@@ -226,10 +306,9 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
     are bound by the same pair, or both are free and have the same name.
     The walk stops at the first difference and builds no nameless form.
 
-    A subtree the two terms share is equal without a walk only when it is
-    an abstraction whose cache knows it is closed: a shared open subtree
-    can be bound differently on the two sides, as S = x is in λx.λy.S and
-    λy.λx.S.
+    A subtree the two terms share is equal without a walk only when its
+    cache knows it is closed: a shared open subtree can be bound
+    differently on the two sides, as S = x is in λx.λy.S and λy.λx.S.
     """
     levels1: dict[str, int | None] = {}
     levels2: dict[str, int | None] = {}
@@ -250,11 +329,11 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
             level = levels1.get(a.name)
             if level != levels2.get(b.name) or (level is None and a.name != b.name):
                 return False
+        elif a is b and a._fv is not None and not a._fv:
+            continue
         elif cls is App:
             stack += (a.arg, b.arg, a.fn, b.fn)
         else:
-            if a is b and a._fv is not None and not a._fv:
-                continue
             n1 = a.binder
             n2 = b.binder
             stack += (_LEAVE, (n1, levels1.get(n1), n2, levels2.get(n2)), a.body, b.body)
@@ -273,7 +352,8 @@ def substitute(t: Term, s: Substitution) -> Term:
     Bound variables are renamed (by appending primes) only when a
     replacement would otherwise be captured, so output is deterministic.
     Unchanged subtrees are shared with the input: an abstraction in which
-    no substituted name is free is returned as it is, without a walk.
+    no substituted name is free is returned as it is, without a walk, and
+    so is an application whose cache says so.
 
     One binding, as in every beta contraction, takes its own walk: it
     compares names with the one substituted name instead of looking them
@@ -305,6 +385,9 @@ def _substitute_one(t: Term, x: str, arg: Term) -> Term:
         if cls is Var:
             return arg if node.name == x else node
         if cls is App:
+            fv = node._fv
+            if fv is not None and x not in fv:
+                return node
             fn = go(node.fn)
             a = go(node.arg)
             if fn is node.fn and a is node.arg:
@@ -336,6 +419,9 @@ def _substitute_many(node: Term, m: dict[str, Term], mfvs, mrisk) -> Term:
     if isinstance(node, Var):
         return m.get(node.name, node)
     if isinstance(node, App):
+        fv = node._fv
+        if fv is not None and fv.isdisjoint(m):
+            return node
         fn = _substitute_many(node.fn, m, mfvs, mrisk)
         arg = _substitute_many(node.arg, m, mfvs, mrisk)
         if fn is node.fn and arg is node.arg:

@@ -3,7 +3,8 @@ abstractions, kept as the reference for the differential tests.
 
 Each function below is a verbatim copy of the library code of that time:
 `fresh_name`, `mk_pair`, `free_vars`, `occurs_free` and `substitute` from
-`numlam.terms`; the beta and eta normalizers and `is_beta_eta_normal` from
+`numlam.terms`, with `to_indexed` as it was before it walked on a stack;
+the beta and eta normalizers and `is_beta_eta_normal` from
 `numlam.reduction`, which here call the copied `substitute` and
 `occurs_free`; and the head reduction of `numlam.reduction` as it was
 before it ran on a machine state, `HeadTrace`, `HeadResult`, `head_step`
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from numlam.reduction import DEFAULT_FUEL, Fuel, Normal, OutOfFuel, ReductionOutcome
-from numlam.terms import App, Lam, Substitution, Term, Var
+from numlam.terms import App, IndexTerm, Lam, Substitution, Term, Var
 
 
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
@@ -63,6 +64,27 @@ def occurs_free(name: str, t: Term) -> bool:
     if isinstance(t, Lam):
         return t.binder != name and occurs_free(name, t.body)
     return occurs_free(name, t.fn) or occurs_free(name, t.arg)
+
+
+def to_indexed(t: Term) -> IndexTerm:
+    """Convert to the nameless form; free variables keep their names.  Equal
+    forms mean alpha-equal terms, so the form is a hash key for them."""
+    levels: dict[str, list[int]] = {}
+
+    def go(node: Term, depth: int) -> IndexTerm:
+        if isinstance(node, Var):
+            stack = levels.get(node.name)
+            if stack:
+                return ("bv", depth - 1 - stack[-1])
+            return ("fv", node.name)
+        if isinstance(node, Lam):
+            levels.setdefault(node.binder, []).append(depth)
+            body = go(node.body, depth + 1)
+            levels[node.binder].pop()
+            return ("lam", body)
+        return ("app", go(node.fn, depth), go(node.arg, depth))
+
+    return go(t, 0)
 
 
 def substitute(t: Term, s: Substitution) -> Term:

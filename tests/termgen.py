@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
+import oracle
 from numlam import App, Lam, Term, Var, free_vars
+from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL, _NO_NAMES, _SETS
 
 BINDER_POOL = ("x", "y", "z", "f", "g", "x'", "_v1")
 FREE_POOL = ("u", "v", "w")
@@ -146,3 +148,37 @@ def beta_expand(t: Term, rng: random.Random, steps: int) -> Term:
         junk = random_closed_term(rng, rng.randint(2, 8))
         t = replace_at(t, path, App(Lam(name, sub), junk))
     return t
+
+
+# ---------------------------------------------------------------------------
+# The free-variable caches
+
+def assert_caches_sound(t: Term) -> None:
+    """Every filled `_fv` cache in t, on abstractions and on applications,
+    holds the free variables of its subtree as tests/oracle.py works them
+    out; a mark sits only on a closed abstraction; an empty cache is
+    otherwise the shared empty set; and a non-empty one is the one object
+    the table of sets keeps for it, so equal sets in two caches are the
+    same object."""
+    assert _NO_NAMES not in _SETS
+    seen: set[int] = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or isinstance(node, Var):
+            continue
+        seen.add(id(node))
+        fv = node._fv
+        if isinstance(node, Lam):
+            stack.append(node.body)
+        else:
+            stack += (node.fn, node.arg)
+        if fv is None:
+            continue
+        assert set(fv) == oracle.free_vars(node), node
+        if fv is _BETA_NORMAL or fv is _BETA_ETA_NORMAL:
+            assert isinstance(node, Lam), node
+        elif not fv:
+            assert fv is _NO_NAMES, node
+        else:
+            assert _SETS.get(fv) is fv, node

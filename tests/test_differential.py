@@ -1,12 +1,13 @@
 """The engine against the named engine kept in tests/oracle.py.
 
-Free variables are cached on abstractions, `substitute` skips the
-abstractions in which nothing it replaces is free and substitutes one name
-on a walk of its own, `mk_pair` fills the cache of its pair, `beta_normalize`
-reduces in one pass instead of searching again from the root after every
-step, the reductions mark the closed normal forms they return and walk past
-marked ones, and `head_reduce` runs on a machine state and builds the terms
-of its trace only when they are read.  None of these may change a result:
+Free variables are cached on abstractions and applications, one object per
+set, `substitute` skips the subtrees in which nothing it replaces is free
+and substitutes one name on a walk of its own, `mk_pair` fills the cache
+of its pair, `beta_normalize` reduces in one pass instead of searching
+again from the root after every step, the reductions mark the closed
+normal forms they return and walk past marked ones, and `head_reduce` runs
+on a machine state and builds the terms of its trace only when they are
+read.  None of these may change a result:
 every term must come out structurally equal to the oracle's, with the same
 binder names, and every step count must be the same, at every fuel.
 `alpha_eq`, one walk over both terms in step, must agree with
@@ -17,6 +18,7 @@ contract and `k` terms and hypothesis strategies.
 import copy
 import pickle
 import random
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -54,6 +56,7 @@ from numlam import (
 from termgen import (
     BINDER_POOL,
     FREE_POOL,
+    assert_caches_sound,
     beta_expand,
     oracle_alpha_eq,
     positions,
@@ -66,7 +69,7 @@ from termgen import (
 )
 from numlam.harness import _numerals
 from numlam.numerals import SequenceSpec
-from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL
+from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL, to_indexed
 
 # Replacements draw their free names from the binder pool too, so they
 # collide with the binders of the term they go into and force renaming.
@@ -121,6 +124,8 @@ def test_substitute_matches_oracle_on_seeded_corpus():
         assert out == expected
         assert_free_vars_agree(t)
         assert_free_vars_agree(out)
+        assert_caches_sound(t)
+        assert_caches_sound(out)
         if binders(expected) - binders(t) - set().union(*map(binders, s.values())):
             renamed += 1
     assert renamed > 50
@@ -172,6 +177,8 @@ def test_one_binding_substitute_matches_oracle_on_seeded_corpus():
         both = substitute(t, {x: arg, "unused": I})
         assert both == expected
         assert reused(out, t) == reused(both, t)
+        for term in (t, out, both):
+            assert_caches_sound(term)
         if x not in oracle.free_vars(t):
             assert out is t
             untouched += 1
@@ -179,6 +186,35 @@ def test_one_binding_substitute_matches_oracle_on_seeded_corpus():
             renamed += 1
     assert renamed > 150
     assert untouched > 150
+
+
+def test_substitute_skips_cached_applications_like_oracle():
+    """Applications cache their free variables too, and both walks return
+    an application as it is when its cache says that no substituted name
+    is free in it.  Caches are filled on a few random subterms first, so
+    cached and uncached applications and abstractions meet in one
+    substitution."""
+    rng = random.Random(1208)
+    skipped = 0
+    for _ in range(1500):
+        t = random_term(rng, rng.randint(1, 30), free_pool=NAMES)
+        for path in rng.sample(positions(t), min(3, len(positions(t)))):
+            free_vars(subterm_at(t, path))
+        cached = [n for n in preorder(t) if isinstance(n, App) and n._fv is not None]
+        x = rng.choice(sorted(oracle.free_vars(t) | {"u"}))
+        arg = random_term(rng, rng.randint(1, 8), free_pool=BINDER_POOL)
+        out = substitute(t, {x: arg})
+        assert out == oracle.substitute(t, {x: arg})
+        both = substitute(t, {x: arg, "unused": I})
+        assert both == out and reused(out, t) == reused(both, t)
+        kept = {id(n) for n in preorder(out)}
+        skipped += sum(1 for n in cached if x not in n._fv and id(n) in kept)
+        s = open_substitution(rng, t)
+        many = substitute(t, s)
+        assert many == oracle.substitute(t, s)
+        for term in (t, out, both, many):
+            assert_caches_sound(term)
+    assert skipped > 500
 
 
 def test_mk_pair_matches_oracle_on_open_terms():
@@ -201,6 +237,8 @@ def assert_normalizes_like_oracle(t, fuel):
     # A normal form is marked only when it is closed.
     assert_free_vars_agree(beta.term)
     assert_free_vars_agree(out.term)
+    for term in (t, beta.term, out.term):
+        assert_caches_sound(term)
 
 
 def test_beta_normalize_matches_oracle_on_seeded_corpus():
@@ -523,6 +561,55 @@ def test_alpha_eq_is_stack_safe():
     assert not alpha_eq(t, deep(abc, "c"))  # bound at different depths
 
 
+def test_alpha_eq_takes_a_shared_application_as_equal_only_when_closed():
+    """A shared application whose cache says it is closed is equal without
+    a walk; a shared open one is bound by the binders around it."""
+    s = App(Var("x"), Var("y"))
+    assert free_vars(s) == {"x", "y"} and s._fv is not None
+    assert not alpha_eq(lams(["x", "y"], s), lams(["y", "x"], s))
+    assert alpha_eq(lams(["x", "y"], s), lams(["y", "x"], App(Var("y"), Var("x"))))
+    assert alpha_eq(lams(["x", "y"], s), lams(["z", "w"], App(Var("z"), Var("w"))))
+    closed = App(I, barendregt(2))
+    assert free_vars(closed) == frozenset()
+    assert alpha_eq(lams(["x"], closed), lams(["y"], closed))
+    assert not alpha_eq(lams(["x"], App(closed, Var("x"))), lams(["y"], App(closed, Var("x"))))
+
+
+def flatten(form):
+    """The nameless form in preorder, as a flat list, without recursion."""
+    out = []
+    stack = [form]
+    while stack:
+        node = stack.pop()
+        if node[0] in ("bv", "fv"):
+            out.append(node)
+        else:
+            out.append(node[0])
+            stack.extend(reversed(node[1:]))
+    return out
+
+
+def test_to_indexed_is_stack_safe():
+    """30,000 nested binders and applications: the nameless form, built on
+    a stack at the recursion limit the tests run at, equals the form of the
+    recursive walk kept in tests/oracle.py."""
+    depth = 30_000
+    body = Var("u")
+    for i in range(depth):
+        b = "xyz"[i % 3]
+        body = Lam(b, App(body, Var(b if i % 2 else "xyz"[(i + 1) % 3])))
+    form = to_indexed(body)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(3 * depth + 1_000)
+    try:
+        expected = oracle.to_indexed(body)
+    finally:
+        sys.setrecursionlimit(limit)
+    flat = flatten(form)
+    assert flat == flatten(expected)
+    assert {("bv", 0), ("bv", 1), ("fv", "u")} <= set(flat)
+
+
 # ---------------------------------------------------------------------------
 # Marked normal forms
 
@@ -562,6 +649,24 @@ def test_a_mark_never_reaches_the_cache_of_a_parent():
     assert out.steps > 0
     assert out == oracle.beta_normalize(t)
     assert beta_eta_normalize(t) == oracle.beta_eta_normalize(t)
+
+
+def test_a_mark_never_reaches_the_cache_of_an_application():
+    """An application of marked closed normal forms is closed, but it is
+    not a normal form: its cache holds the plain empty set, and so does the
+    cache of an application whose only child with names is a mark."""
+    d = barendregt(2)
+    e = builtin_system("c").numeral(2)
+    beta_eta_normalize(d)
+    beta_normalize(e)
+    assert d._fv is _BETA_ETA_NORMAL and e._fv is _BETA_NORMAL
+    for t in (App(d, e), App(e, d), App(d, d), App(App(d, e), I), App(Var("v"), d)):
+        free_vars(t)
+        assert_caches_sound(t)
+        assert t._fv is not _BETA_NORMAL and t._fv is not _BETA_ETA_NORMAL
+        if not t._fv:
+            out = beta_normalize(t)
+            assert out.steps > 0 and out == oracle.beta_normalize(t)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +750,18 @@ def test_free_vars_cache_is_invisible():
         for clone in (copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
             assert clone == u
             assert free_vars(clone) == {"y"}
+    # Applications carry the cache too: filled on t's body above, and on
+    # an application of applications here.
+    assert t.body._fv == {"x", "y"}
+    a = App(App(Var("x"), t), App(t, Var("z")))
+    plain = App(App(Var("x"), fresh), App(fresh, Var("z")))
+    assert free_vars(a) is a._fv == {"x", "y", "z"} and a.fn._fv is not None
+    assert a == plain and hash(a) == hash(plain) and repr(a) == repr(plain)
+    assert repr(t.body) == "App(fn=Var(name='x'), arg=Var(name='y'))"
+    for clone in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert clone == a and hash(clone) == hash(plain) and repr(clone) == repr(plain)
+        assert free_vars(clone) == {"x", "y", "z"}
+        assert substitute(clone, {"y": I}) == substitute(plain, {"y": I})
     # mk_pair fills the cache of the pair it builds.
     pair = mk_pair(t, Var("x"))
     plain = Lam("x'", App(App(Var("x'"), fresh), Var("x")))

@@ -1,4 +1,7 @@
+import dataclasses
 import random
+
+import pytest
 
 from numlam import (
     App,
@@ -103,6 +106,22 @@ def test_size():
     assert size(Var("x")) == 1
     assert size(I) == 2
     assert size(App(Var("x"), Var("y"))) == 3
+
+
+def test_terms_are_immutable():
+    """Every field of every node class, the free-variable cache included,
+    refuses assignment."""
+    for node, fields in (
+        (Var("x"), ("name",)),
+        (Lam("x", Var("x")), ("binder", "body", "_fv")),
+        (App(Var("x"), Var("y")), ("fn", "arg", "_fv")),
+    ):
+        free_vars(node)
+        for name in fields:
+            before = getattr(node, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, Var("z"))
+            assert getattr(node, name) is before
 
 
 def test_lam_app_helpers():
