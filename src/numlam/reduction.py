@@ -36,7 +36,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import _BETA_ETA_NORMAL, _BETA_NORMAL, _NO_NAMES, App, Lam, Term, Var, free_vars, substitute
+from .terms import (
+    _BETA_ETA_NORMAL,
+    _BETA_NORMAL,
+    _NO_NAMES,
+    App,
+    Lam,
+    Term,
+    Var,
+    _set_lam_fv,
+    free_vars,
+    substitute,
+)
 
 
 class NotBetaNormalError(ValueError):
@@ -134,20 +145,22 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     stack: list = []
     steps = 0
     while True:
-        if isinstance(t, App):
+        # Exact class tests, as in terms: Var, Lam and App have no subclasses.
+        cls = type(t)
+        if cls is App:
             fn = t.fn
-            if isinstance(fn, Lam):
+            if type(fn) is Lam:
                 if steps == max_steps:
                     return OutOfFuel(_plug(t, stack), steps)
                 t = substitute(fn.body, {fn.binder: t.arg})
                 steps += 1
-                if isinstance(t, Lam) and stack and stack[-1][0] == _FN:
+                if type(t) is Lam and stack and stack[-1][0] == _FN:
                     t = App(t, stack.pop()[1].arg)
             else:
                 stack.append((_FN, t))
                 t = fn
             continue
-        if isinstance(t, Lam):
+        if cls is Lam:
             fv = t._fv
             if fv is not _BETA_NORMAL and fv is not _BETA_ETA_NORMAL:
                 stack.append((_BODY, t))
@@ -167,8 +180,8 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
                 fn = frame[2]
                 t = node if fn is node.fn and t is node.arg else App(fn, t)
         else:
-            if isinstance(t, Lam) and t._fv is _NO_NAMES:
-                object.__setattr__(t, "_fv", _BETA_NORMAL)
+            if type(t) is Lam and t._fv is _NO_NAMES:
+                _set_lam_fv(t, _BETA_NORMAL)
             return Normal(t, steps)
 
 
@@ -265,8 +278,8 @@ def _eta(t: Term) -> tuple[Term, int]:
 def _mark_beta_eta_normal(t: Term) -> None:
     """Mark t beta-eta-normal if it is an abstraction known to be closed;
     t must be beta-eta-normal."""
-    if isinstance(t, Lam) and (t._fv is _NO_NAMES or t._fv is _BETA_NORMAL):
-        object.__setattr__(t, "_fv", _BETA_ETA_NORMAL)
+    if type(t) is Lam and (t._fv is _NO_NAMES or t._fv is _BETA_NORMAL):
+        _set_lam_fv(t, _BETA_ETA_NORMAL)
 
 
 def eta_normalize(t: Term) -> Term:
@@ -358,10 +371,11 @@ def _unwind(head: Term, binders, spine):
     Stops at a variable head, which is head normal form, or at an
     abstraction with an argument, when spine[0] is the head redex."""
     while True:
-        if isinstance(head, App):
+        cls = type(head)
+        if cls is App:
             spine = (head, spine)
             head = head.fn
-        elif isinstance(head, Lam) and spine is None:
+        elif cls is Lam and spine is None:
             binders = (head.binder, binders)
             head = head.body
         else:
@@ -468,7 +482,7 @@ def head_reduce(t: Term, fuel: Fuel = DEFAULT_FUEL) -> HeadResult:
     max_steps = fuel.max_steps
     steps: list = []
     binders, head, spine = _unwind(t, None, None)
-    while isinstance(head, Lam):
+    while type(head) is Lam:
         if len(steps) == max_steps:
             return HeadResult(HeadTrace(t, steps), False)
         node, spine = spine

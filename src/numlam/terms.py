@@ -24,7 +24,9 @@ substituted name is free as it is.  `substitute` of one name, which is every
 beta contraction, walks with that name alone and asks for the free
 variables of the replacement only where a binder might capture it; several
 names take the simultaneous walk.  Both give the same terms, binder names
-and shared nodes.
+and shared nodes.  Both walks are module-level recursive functions, not
+closures: the one-name walk keeps the replacement's free variables in a
+holder that each call makes for itself.
 """
 
 from __future__ import annotations
@@ -358,11 +360,14 @@ def substitute(t: Term, s: Substitution) -> Term:
     One binding, as in every beta contraction, takes its own walk: it
     compares names with the one substituted name instead of looking them
     up, and works out the free variables of the replacement only at the
-    first abstraction that the name is free in.  At the first binder that
-    the replacement would be captured by, it hands that subtree to the
-    simultaneous walk, which is then in exactly the state it would have
-    reached there by itself, so the renamings, binder names and shared
-    nodes are the same as the simultaneous walk's.
+    first abstraction that the name is free in, once per call.  The walk
+    is a module-level function, so a call builds no closure; the set it
+    works out is kept in a one-item list made for that call, never past
+    it.  At the first binder that the replacement would be captured by,
+    it hands that subtree to the simultaneous walk, which is then in
+    exactly the state it would have reached there by itself, so the
+    renamings, binder names and shared nodes are the same as the
+    simultaneous walk's.
     """
     if len(s) == 1:
         ((x, arg),) = s.items()
@@ -374,51 +379,57 @@ def substitute(t: Term, s: Substitution) -> Term:
 
 
 def _substitute_one(t: Term, x: str, arg: Term) -> Term:
-    """t[x := arg]; the same result as _substitute_many(t, {x: arg}, ...)."""
-    arg_fv = None
+    """t[x := arg]; the same result as _substitute_many(t, {x: arg}, ...).
 
-    def go(node: Term) -> Term:
-        nonlocal arg_fv
-        # Exact class tests: the hot path, and Var, Lam and App have no
-        # subclasses.
-        cls = type(node)
-        if cls is Var:
-            return arg if node.name == x else node
-        if cls is App:
-            fv = node._fv
-            if fv is not None and x not in fv:
-                return node
-            fn = go(node.fn)
-            a = go(node.arg)
-            if fn is node.fn and a is node.arg:
-                return node
-            return App(fn, a)
-        b = node.binder
-        if b == x:
-            return node
+    The walk is `_one`, a module-level function.  The free variables of
+    arg, worked out at most once, go into a one-item list made for this
+    call, so no call reads the set of another."""
+    return _one(t, x, arg, [None])
+
+
+def _one(node: Term, x: str, arg: Term, arg_fv: list) -> Term:
+    """node[x := arg].  arg_fv[0] is free_vars(arg), or None until a walk
+    of the same call first needs it."""
+    # Exact class tests: the hot path, and Var, Lam and App have no
+    # subclasses.
+    cls = type(node)
+    if cls is Var:
+        return arg if node.name == x else node
+    if cls is App:
         fv = node._fv
-        if fv is None:
-            fv = free_vars(node)
-        if x not in fv:
+        if fv is not None and x not in fv:
             return node
-        if arg_fv is None:
-            arg_fv = free_vars(arg)
-        if b in arg_fv:
-            return _substitute_many(node, {x: arg}, {x: arg_fv}, arg_fv)
-        body = go(node.body)
-        if body is node.body:
+        fn = _one(node.fn, x, arg, arg_fv)
+        a = _one(node.arg, x, arg, arg_fv)
+        if fn is node.fn and a is node.arg:
             return node
-        return Lam(b, body)
-
-    return go(t)
+        return App(fn, a)
+    b = node.binder
+    if b == x:
+        return node
+    fv = node._fv
+    if fv is None:
+        fv = free_vars(node)
+    if x not in fv:
+        return node
+    afv = arg_fv[0]
+    if afv is None:
+        afv = arg_fv[0] = free_vars(arg)
+    if b in afv:
+        return _substitute_many(node, {x: arg}, {x: afv}, afv)
+    body = _one(node.body, x, arg, arg_fv)
+    if body is node.body:
+        return node
+    return Lam(b, body)
 
 
 def _substitute_many(node: Term, m: dict[str, Term], mfvs, mrisk) -> Term:
     """node[m], where mfvs maps each name of m to its replacement's free
     variables and mrisk is the union of those sets."""
-    if isinstance(node, Var):
+    cls = type(node)
+    if cls is Var:
         return m.get(node.name, node)
-    if isinstance(node, App):
+    if cls is App:
         fv = node._fv
         if fv is not None and fv.isdisjoint(m):
             return node

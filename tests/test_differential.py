@@ -217,6 +217,27 @@ def test_substitute_skips_cached_applications_like_oracle():
     assert skipped > 500
 
 
+def test_one_binding_walk_keeps_the_replacement_free_vars_to_one_call():
+    """The one-binding walk works out the free variables of the replacement
+    at most once per call.  Kept past the call, as in a module-level or
+    default-argument cell, they would be tested against the binders of a
+    later call with another replacement.  In the two-branch term, λy sends
+    its subtree to the simultaneous walk when y is free in the replacement,
+    and its sibling λz then reads the set the same call worked out."""
+    body = Lam("y", App(Var("x"), Var("y")))
+    siblings = App(Lam("y", App(Var("x"), Var("y"))), Lam("z", App(Var("x"), Var("z"))))
+    for t, name in ((body, "z"), (body, "y"), (siblings, "y"), (siblings, "z")):
+        out = substitute(t, {"x": Var(name)})
+        assert out == oracle.substitute(t, {"x": Var(name)})
+        assert_caches_sound(t)
+        assert_caches_sound(out)
+    assert substitute(body, {"x": Var("z")}) == Lam("y", App(Var("z"), Var("y")))
+    assert substitute(body, {"x": Var("y")}) == Lam("y'", App(Var("y"), Var("y'")))
+    assert substitute(siblings, {"x": Var("z")}) == App(
+        Lam("y", App(Var("z"), Var("y"))), Lam("z'", App(Var("z"), Var("z'")))
+    )
+
+
 def test_mk_pair_matches_oracle_on_open_terms():
     rng = random.Random(1203)
     pool = ("x", "x'", "x''", "u")

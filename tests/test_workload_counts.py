@@ -1,0 +1,66 @@
+"""One pass of each benchmark workload at seed 1 keeps its verdicts and its
+beta and head step counts.
+
+`bench/workloads.py` builds the benchmark's inputs and holds their known
+answers.  It is loaded here from its file as it is and run through numlam's
+exported names, without the benchmark's timing or tracing.  The counts are
+those of the records in `bench/baseline/`: a speed-up must keep them.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import numlam
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module of a class up in sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+# The names the workloads call, as the benchmark's untraced passes see them.
+API = SimpleNamespace(
+    **{
+        name: getattr(numlam, name)
+        for name in (
+            "parse_term", "pretty", "head_reduce", "substitute", "alpha_eq",
+            "check_successor", "check_predecessor", "check_zero_test",
+            "check_definable", "spz_from_k",
+        )
+    },
+    numeral_system=lambda system: system,
+)
+
+# workload: (verdicts, beta steps, head steps) of one pass at seed 1
+EXPECTED = {
+    "contracts": (850, 21_290, 0),
+    "kgrid": (181, 55_135, 0),
+    "head": (2_503, 0, 17_458),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_workload_pass_keeps_verdicts_and_step_counts(name):
+    verdicts, beta_steps, head_steps = EXPECTED[name]
+    workload = workloads.WORKLOADS[name](numlam, 1)
+    outcomes = workload.run_pass(API)
+    assert [o.label for o in outcomes if o.ok is not True] == []
+    assert workload.expected_cases == verdicts
+    assert sum(o.cases for o in outcomes) == verdicts
+    assert sum(o.beta_steps for o in outcomes) == beta_steps
+    assert sum(o.head_steps for o in outcomes) == head_steps
+    for o in outcomes:
+        if o.text is not None:
+            assert numlam.alpha_eq(numlam.parse_term(o.text), o.term)
