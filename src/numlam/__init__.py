@@ -17,7 +17,6 @@ from .terms import (
     mk_tuple,
     size,
     substitute,
-    to_indexed,
 )
 from .parser import (
     DuplicateNameError,
@@ -29,12 +28,7 @@ from .parser import (
 )
 from .reduction import (
     DEFAULT_FUEL,
-    DISTINCT,
-    EQUAL,
-    EqVerdict,
     Fuel,
-    HeadResult,
-    HeadTrace,
     Normal,
     NotBetaNormalError,
     OutOfFuel,
@@ -48,7 +42,6 @@ from .reduction import (
     is_beta_eta_normal,
     is_head_normal_form,
     solvable,
-    unknown,
 )
 from .report import CheckCase, CheckReport, beta_eta_eq, eq_case
 from .numerals import (

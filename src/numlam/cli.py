@@ -324,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(str(err), file=sys.stderr)
         return EXIT_FAIL
+    except UnicodeDecodeError as err:
+        print(f"{args.defs}: not UTF-8 text ({err})", file=sys.stderr)
+        return EXIT_FAIL
     except RecursionError:
         # Some term walks still recurse once per nesting level.
         print("term nests too deep for the engine", file=sys.stderr)

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .report import CheckCase, CheckReport, eq_case
 from .reduction import DEFAULT_FUEL, Fuel, is_beta_eta_normal
-from .terms import App, F, Lam, T, Term, Var, app, is_closed, lam, to_indexed
+from .terms import App, F, Lam, T, Term, Var, alpha_eq, app, is_closed, lam, size
 
 if TYPE_CHECKING:
     from .numerals import NumeralSystem
@@ -37,19 +37,26 @@ class NumericFunction:
 
 def check_system(sys: "NumeralSystem", upto: int = DEFAULT_UPTO) -> CheckReport:
     """Closedness, beta-eta-normality, and pairwise alpha-distinctness of the
-    numerals below `upto`."""
+    numerals below `upto`.
+
+    Alpha-equal terms have the same size, so a numeral is compared only
+    with the earlier ones of its size.  Those are pairwise distinct up to
+    the first collision, so at most one of them is alpha-equal to it."""
     if upto < 2:
         raise ValueError("upto must be at least 2")
     cases = []
-    seen: dict[tuple, int] = {}
+    by_size: dict[int, list[tuple[int, Term]]] = {}
     collision = None
     for n, t in enumerate(_numerals(sys, upto)):
         cases.append(CheckCase(f"closed n={n}", is_closed(t)))
         cases.append(CheckCase(f"normal n={n}", is_beta_eta_normal(t)))
-        key = to_indexed(t)
-        if key in seen and collision is None:
-            collision = (seen[key], n)
-        seen[key] = n
+        if collision is None:
+            bucket = by_size.setdefault(size(t), [])
+            for m, earlier in bucket:
+                if alpha_eq(earlier, t):
+                    collision = (m, n)
+                    break
+            bucket.append((n, t))
     if collision is None:
         cases.append(CheckCase("pairwise distinct", True))
     else:

@@ -55,8 +55,6 @@ class Program:
         return [name for name, _ in self.definitions]
 
 
-EMPTY_PROGRAM = Program()
-
 _PUNCT = {
     "\\": "lambda",
     "λ": "lambda",

@@ -196,22 +196,6 @@ def beta_step_normal_order(t: Term) -> Term | None:
     return out.term if out.steps else None
 
 
-def _has_beta_redex(t: Term) -> bool:
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Lam):
-            fv = node._fv
-            if fv is not _BETA_NORMAL and fv is not _BETA_ETA_NORMAL:
-                stack.append(node.body)
-        elif isinstance(node, App):
-            if isinstance(node.fn, Lam):
-                return True
-            stack.append(node.fn)
-            stack.append(node.arg)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Eta
 
@@ -233,13 +217,16 @@ _REBUILD = object()
 def _eta(t: Term) -> tuple[Term, int]:
     """Contract the eta-redexes of the beta-normal t, innermost first: the
     eta-normal form and the number of contractions.  Unchanged subtrees
-    are shared with t, and an eta-normal t comes back as it is.
+    are shared with t, and an eta-normal t comes back as it is.  A
+    beta-redex in t raises NotBetaNormalError.
 
     One post-order walk over an explicit stack, so the depth of t is not
     bounded by the recursion limit: each node is visited, then its
     children, then it is rebuilt from their results, which wait on a
     second stack.  An abstraction marked beta-eta-normal is a leaf, and a
-    closed one that comes back unchanged is marked so."""
+    closed one that comes back unchanged is marked so.  The walk visits
+    every application outside such a leaf, so it meets every beta-redex;
+    a mark set before it raises is on a subtree it has walked in full."""
     # Most normal forms have no eta-redex, and finding that out takes one
     # scan that rebuilds nothing.
     if is_beta_eta_normal(t):
@@ -267,6 +254,8 @@ def _eta(t: Term) -> tuple[Term, int]:
             else:
                 done.append(Lam(node.binder, body))
         elif isinstance(node, App):
+            if isinstance(node.fn, Lam):
+                raise NotBetaNormalError("input contains a beta-redex")
             stack += (node, _REBUILD, node.arg, node.fn)
         elif isinstance(node, Var) or node._fv is _BETA_ETA_NORMAL:
             done.append(node)
@@ -286,9 +275,8 @@ def eta_normalize(t: Term) -> Term:
     """Contract eta-redexes to a fixpoint.  Requires a beta-normal input;
     on such input the result is beta-eta-normal (contracting λx.(M x)
     inside a beta-normal term cannot create a beta-redex, since an applied
-    abstraction would already have been one)."""
-    if _has_beta_redex(t):
-        raise NotBetaNormalError("input contains a beta-redex")
+    abstraction would already have been one).  A beta-redex in t raises
+    NotBetaNormalError."""
     return _eta(t)[0]
 
 

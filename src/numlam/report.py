@@ -75,9 +75,6 @@ class CheckReport:
             return "inconclusive"
         return "pass"
 
-    def failures(self) -> list[CheckCase]:
-        return [c for c in self.cases if not c.ok and not c.unknown]
-
     def to_dict(self) -> dict:
         return {
             "format": REPORT_FORMAT,

@@ -89,15 +89,6 @@ _set_app_fv = App._fv.__set__
 
 Term = Union[Var, Lam, App]
 
-# Nameless form: nested tuples, one of
-#   ("bv", index)   bound variable, 0 = innermost binder
-#   ("fv", name)    free variable
-#   ("lam", body)
-#   ("app", fn, arg)
-# Tuples are hashable and compare structurally, so IndexTerm equality is
-# exactly alpha-equivalence of the source terms.
-IndexTerm = tuple
-
 Substitution = Mapping[str, Term]
 
 # The free variables of a closed term, shared.
@@ -252,46 +243,7 @@ def is_closed(t: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Nameless form and alpha-equivalence
-
-# On the stack of to_indexed: the forms of an application's two children
-# are done, build its form.  A name on that stack means the walk leaves an
-# abstraction that binds it.
-_BUILD_APP = object()
-
-
-def to_indexed(t: Term) -> IndexTerm:
-    """Convert to the nameless form; free variables keep their names.  Equal
-    forms mean alpha-equal terms, so the form is a hash key for them.
-
-    One post-order walk over an explicit stack, so the depth of t is not
-    bounded by the recursion limit; the forms of finished subtrees wait on
-    a second stack."""
-    levels: dict[str, list[int]] = {}
-    depth = 0
-    done: list[IndexTerm] = []
-    stack: list = [t]
-    while stack:
-        node = stack.pop()
-        cls = type(node)
-        if cls is Var:
-            bound = levels.get(node.name)
-            done.append(("bv", depth - 1 - bound[-1]) if bound else ("fv", node.name))
-        elif cls is App:
-            stack += (_BUILD_APP, node.arg, node.fn)
-        elif cls is Lam:
-            levels.setdefault(node.binder, []).append(depth)
-            depth += 1
-            stack += (node.binder, node.body)
-        elif node is _BUILD_APP:
-            arg = done.pop()
-            done[-1] = ("app", done[-1], arg)
-        else:
-            levels[node].pop()
-            depth -= 1
-            done[-1] = ("lam", done[-1])
-    return done[0]
-
+# Alpha-equivalence
 
 # Stands first in a pair on the stack of alpha_eq whose second item holds
 # the binders to restore when the walk leaves a pair of abstractions.
@@ -306,7 +258,7 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
     abstractions it enters, and each side maps a name to the number of the
     innermost binder of that name in scope: two variables agree when both
     are bound by the same pair, or both are free and have the same name.
-    The walk stops at the first difference and builds no nameless form.
+    The walk stops at the first difference.
 
     A subtree the two terms share is equal without a walk only when its
     cache knows it is closed: a shared open subtree can be bound

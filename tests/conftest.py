@@ -2,7 +2,7 @@ import sys
 
 # free_vars, substitute and dataclass == on terms still recurse on term
 # depth.  Normal-order beta reduction, head reduction, the eta pass,
-# alpha_eq, to_indexed, the parser and pretty do not, and
+# alpha_eq, the parser and pretty do not, and
 # tests/test_reduction.py, tests/test_differential.py and
 # tests/test_parser.py check them on terms deeper than this limit;
 # tests/test_cli.py runs the CLI in a new interpreter at the default limit.  Generated and intermediate terms stay

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from numlam.reduction import DEFAULT_FUEL, Fuel, Normal, OutOfFuel, ReductionOutcome
-from numlam.terms import App, IndexTerm, Lam, Substitution, Term, Var
+from numlam.terms import App, Lam, Substitution, Term, Var
+
+# The nameless form of to_indexed: nested tuples, one of
+#   ("bv", index)   bound variable, 0 = innermost binder
+#   ("fv", name)    free variable
+#   ("lam", body)
+#   ("app", fn, arg)
+# Equal forms mean alpha-equal source terms.
+IndexTerm = tuple
 
 
 def fresh_name(base: str, avoid: Iterable[str]) -> str:

@@ -129,6 +129,14 @@ def test_defs_file(capsys, tmp_path):
     assert alpha_eq(parse_term(out.splitlines()[0]), church(4))
 
 
+def test_defs_file_not_utf8_is_one_line(capsys, tmp_path):
+    path = tmp_path / "bad.defs"
+    path.write_bytes(b"\xff\xfe = \\x.x ;\n")
+    code, out, err = run(capsys, "eval", "--defs", str(path), "x")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"{path}: not UTF-8 text")
+
+
 def test_defs_duplicate_name(capsys, tmp_path):
     path = tmp_path / "defs.lam"
     path.write_text("a = \\x.x;\na = \\y.y;\n")

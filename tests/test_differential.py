@@ -18,7 +18,6 @@ contract and `k` terms and hypothesis strategies.
 import copy
 import pickle
 import random
-import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -69,7 +68,7 @@ from termgen import (
 )
 from numlam.harness import _numerals
 from numlam.numerals import SequenceSpec
-from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL, to_indexed
+from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL
 
 # Replacements draw their free names from the binder pool too, so they
 # collide with the binders of the term they go into and force renaming.
@@ -594,41 +593,6 @@ def test_alpha_eq_takes_a_shared_application_as_equal_only_when_closed():
     assert free_vars(closed) == frozenset()
     assert alpha_eq(lams(["x"], closed), lams(["y"], closed))
     assert not alpha_eq(lams(["x"], App(closed, Var("x"))), lams(["y"], App(closed, Var("x"))))
-
-
-def flatten(form):
-    """The nameless form in preorder, as a flat list, without recursion."""
-    out = []
-    stack = [form]
-    while stack:
-        node = stack.pop()
-        if node[0] in ("bv", "fv"):
-            out.append(node)
-        else:
-            out.append(node[0])
-            stack.extend(reversed(node[1:]))
-    return out
-
-
-def test_to_indexed_is_stack_safe():
-    """30,000 nested binders and applications: the nameless form, built on
-    a stack at the recursion limit the tests run at, equals the form of the
-    recursive walk kept in tests/oracle.py."""
-    depth = 30_000
-    body = Var("u")
-    for i in range(depth):
-        b = "xyz"[i % 3]
-        body = Lam(b, App(body, Var(b if i % 2 else "xyz"[(i + 1) % 3])))
-    form = to_indexed(body)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(3 * depth + 1_000)
-    try:
-        expected = oracle.to_indexed(body)
-    finally:
-        sys.setrecursionlimit(limit)
-    flat = flatten(form)
-    assert flat == flatten(expected)
-    assert {("bv", 0), ("bv", 1), ("fv", "u")} <= set(flat)
 
 
 # ---------------------------------------------------------------------------

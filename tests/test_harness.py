@@ -22,6 +22,7 @@ from numlam import (
     church,
     church_k_term,
     k_function,
+    parse_term,
     phi_from_zero_test,
     spz_from_k,
     zero_test_from_phi,
@@ -51,6 +52,19 @@ def test_check_system_flags_degenerate_distinctness():
     assert report.overall == "fail"
     distinct = [c for c in report.cases if c.label == "pairwise distinct"]
     assert distinct and not distinct[0].ok
+
+
+@pytest.mark.parametrize("numerals, witness", [
+    # T and F have the same size and are not alpha-equal.
+    ([I, T, F, I], "n=0 and n=3 coincide"),
+    # Three pairs collide, up to the names of binders; the first is named.
+    ([I, T, F, parse_term(r"\a.\b.a"), parse_term(r"\y.y"), F], "n=1 and n=3 coincide"),
+])
+def test_check_system_names_the_first_collision(numerals, witness):
+    system = NumeralSystem("listed", numerals.__getitem__)
+    report = check_system(system, len(numerals))
+    bad = [(c.label, c.witness) for c in report.cases if not c.ok]
+    assert bad == [("pairwise distinct", witness)]
 
 
 def test_check_system_requires_two_numerals():

