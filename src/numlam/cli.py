@@ -1,10 +1,11 @@
 """Command-line front door.
 
 Commands: eval, numeral, check, head, eq, definable.  Results go to stdout,
-diagnostics to stderr.  Exit codes: 0 success/pass, 1 failure or bad input
-(including a term that nests too deep for the engine's recursive walks, which
-gets a one-line message), 2 out of fuel, 3 inconclusive (fuel ran out inside
-a check, the check had no cases, or the requested combinator is absent).
+diagnostics to stderr.  Exit codes: 0 success/pass (and --help), 1 failure or
+bad input (a usage error, a negative --upto, or a term that nests too deep for
+the engine's recursive walks, each with a one-line message), 2 out of fuel,
+3 inconclusive (fuel ran out inside a check, the check had no cases, or the
+requested combinator is absent).
 """
 
 from __future__ import annotations
@@ -125,13 +126,14 @@ def cmd_numeral(args) -> int:
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return EXIT_FAIL
+    text = pretty(term)
     payload = {
         "format": REPORT_FORMAT,
         "system": args.system,
         "n": args.n,
-        "term": pretty(term),
+        "term": text,
     }
-    _emit(args, payload, [pretty(term)])
+    _emit(args, payload, [text])
     return EXIT_PASS
 
 
@@ -241,6 +243,12 @@ def cmd_definable(args) -> int:
     return _exit_code([report.overall])
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # One line, and not argparse's exit code 2, which means out of fuel.
+        self.exit(EXIT_FAIL, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--fuel", type=int, default=1_000_000,
@@ -253,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     terms.add_argument("--prelude", action="store_true",
                        help="preload I, T, F and the built-in S/P/Z combinators")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="numlam",
         description="Workbench for numeral systems in the untyped lambda calculus.",
     )
@@ -305,10 +313,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exit_:  # a usage error, or --help
+        return exit_.code
     if args.fuel < 1:
         print("fuel must be at least 1", file=sys.stderr)
+        return EXIT_FAIL
+    if getattr(args, "upto", None) is not None and args.upto < 0:
+        print("upto must be at least 0", file=sys.stderr)
         return EXIT_FAIL
     try:
         return args.run(args)

@@ -15,6 +15,11 @@ pair λx.(x M N); the printer never emits it.  Identifiers match
 Definition files are sequences of `name = term ;` with `--` line comments
 and blank lines; each body is parsed in the environment of the preceding
 definitions and inlined, so parsed bodies are plain terms.
+
+One regex pass finds the tokens, without offsets, and the parser walks them
+by index.  Only a `ParseError` scans the text again, for its offset; a
+character that starts no token is reported first, wherever it stands, as
+though the whole text were read before it is parsed.
 """
 
 from __future__ import annotations
@@ -55,153 +60,115 @@ class Program:
         return [name for name, _ in self.definitions]
 
 
-_PUNCT = {
-    "\\": "lambda",
-    "λ": "lambda",
-    ".": "dot",
-    "(": "lparen",
-    ")": "rparen",
-    "<": "langle",
-    ">": "rangle",
-    ",": "comma",
-    "=": "equals",
-    ";": "semi",
-}
-
-# Every piece of the text, in order: a run of whitespace, a comment, an
-# identifier or any other single character.
-_PIECE = re.compile(r"\s+|--[^\n]*|[A-Za-z_][A-Za-z0-9_']*|.", re.S)
-# Token kind by the first character of a piece; whitespace and comments
-# have none.
-_KIND = dict(_PUNCT)
-_KIND.update(
-    dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident")
-)
+# Each match is one token, as a pair: an identifier and "", or "" and any
+# other piece, which is a comment or one character.  Whitespace matches
+# nothing, so findall skips it.  A piece that is no punctuation never fits
+# where the parser wants a token, so parsing stops there.
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_']*)|(--[^\n]*|\S)")
+_END = ("", "")  # after the last token
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    pos = 0
-    for piece in _PIECE.findall(text):
-        kind = _KIND.get(piece[0])
-        if kind is not None:
-            toks.append((kind, piece, pos))
-        elif not (piece.isspace() or piece.startswith("--")):
-            raise ParseError(pos, "a term", piece)
-        pos += len(piece)
-    toks.append(("eof", "", pos))
+def _tokens(text: str) -> list[tuple[str, str]]:
+    toks = _TOKEN.findall(text)
+    if "--" in text:
+        toks = [tok for tok in toks if not tok[1].startswith("--")]
+    toks.append(_END)
     return toks
 
 
-def _unexpected(tok, what: str) -> ParseError:
-    return ParseError(tok[2], what, tok[1] or "end of input")
+def _stray(text: str) -> ParseError | None:
+    """The error for the first character of text that starts no token."""
+    for m in _TOKEN.finditer(text):
+        piece = m[2]
+        if piece and piece[:2] != "--" and piece not in "\\λ.()<>,=;":
+            return ParseError(m.start(), "a term", piece)
+    return None
 
 
-class _Tokens:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise _unexpected(tok, what)
-        return tok
+def _unexpected(text: str, i: int, what: str) -> ParseError:
+    """The error for token i of text, found where `what` was wanted."""
+    pieces = [m for m in _TOKEN.finditer(text) if m[0][:2] != "--"]
+    if i < len(pieces):
+        return _stray(text) or ParseError(pieces[i].start(), what, pieces[i][0])
+    return _stray(text) or ParseError(len(text), what, "end of input")
 
 
-_ATOM_STARTS = frozenset(["ident", "lparen", "langle"])
-
-# Frames of the parser's stack, one for each construct still open around
-# the token being read:
-#   (_LAM, binders)          λbinders. whose body is being read
-#   (_PAREN, acc)            '(' ... ')'; acc is the application the group
-#                            extends, None when the group comes first
-#   (_PAIR1, acc)            '<' ... ',' ... '>' at its first component
-#   (_PAIR2, acc, first)     the same at its second component
-_LAM, _PAREN, _PAIR1, _PAIR2 = range(4)
-
-
-def _term(ts: _Tokens) -> Term:
-    """Parse one term, leaving ts at the first token after it.
+def _term(text: str, toks: list, i: int, leaves: dict[str, Var]) -> tuple[Term, int]:
+    """Parse one term from token i on; return it and the index of the
+    first token after it.  Each name gets one Var, kept in `leaves`.
 
     One loop over an explicit stack of open constructs, so nesting depth is
     not bounded by the recursion limit.  `acc` is the application read so
-    far in the innermost open term, None at its start.  A term ends at the
-    first token that cannot start an atom, so an abstraction is only read
-    where acc is None, as the grammar requires.
+    far in the innermost open term, None at its start; a token that cannot
+    start an atom ends it, so an abstraction is only read where acc is
+    None, as the grammar requires.  The frames, told apart by type:
+      binders         λbinders. whose body is being read (a list)
+      acc             '(' ... ')'; acc is the application the group
+                      extends, None when the group comes first
+      (acc,)          '<' ... ',' ... '>' at its first component
+      (acc, first)    the same at its second component
     """
-    toks = ts.toks
-    i = ts.i
     stack: list = []
     acc = None
     while True:
-        tok = toks[i]
+        name, piece = toks[i]
         i += 1
-        kind = tok[0]
-        if kind == "ident":
-            t = Var(tok[1])
-        elif kind == "lparen":
-            stack.append((_PAREN, acc))
+        if name:
+            t = leaves.get(name)
+            if t is None:
+                t = leaves[name] = Var(name)
+            acc = t if acc is None else App(acc, t)
+            continue
+        if piece == "(":
+            stack.append(acc)
             acc = None
             continue
-        elif kind == "langle":
-            stack.append((_PAIR1, acc))
+        if piece == "<":
+            stack.append((acc,))
             acc = None
             continue
-        elif kind == "lambda":
+        if acc is None:
+            if piece != "\\" and piece != "λ":
+                raise _unexpected(text, i - 1, "a term")
             binders = []
-            while toks[i][0] == "ident":
-                binders.append(toks[i][1])
+            while toks[i][0]:
+                binders.append(toks[i][0])
                 i += 1
-            tok = toks[i]
             if not binders:
-                raise _unexpected(tok, "a binder name")
+                raise _unexpected(text, i, "a binder name")
+            if toks[i][1] != ".":
+                raise _unexpected(text, i, "'.'")
             i += 1
-            if tok[0] != "dot":
-                raise _unexpected(tok, "'.'")
-            stack.append((_LAM, binders))
+            stack.append(binders)
+            continue
+        # The token ends the innermost open term: close the abstractions
+        # around it, then the construct it completes.
+        t = acc
+        while True:
+            if not stack:
+                return t, i - 1
+            frame = stack.pop()
+            cls = type(frame)
+            if cls is not list:
+                break
+            for b in reversed(frame):
+                t = Lam(b, t)
+        if cls is not tuple:
+            if piece != ")":
+                raise _unexpected(text, i - 1, "')'")
+            acc = frame
+        elif len(frame) == 1:
+            if piece != ",":
+                raise _unexpected(text, i - 1, "','")
+            stack.append((frame[0], t))
+            acc = None
             continue
         else:
-            raise _unexpected(tok, "a term")
-        # t is a whole atom: extend the application, or end the term and
-        # close the constructs it completes.
-        while True:
-            acc = t if acc is None else App(acc, t)
-            if toks[i][0] in _ATOM_STARTS:
-                break
-            t = acc
-            while stack and stack[-1][0] == _LAM:
-                for b in reversed(stack.pop()[1]):
-                    t = Lam(b, t)
-            if not stack:
-                ts.i = i
-                return t
-            frame = stack.pop()
-            tok = toks[i]
-            i += 1
-            if frame[0] == _PAREN:
-                if tok[0] != "rparen":
-                    raise _unexpected(tok, "')'")
-                acc = frame[1]
-            elif frame[0] == _PAIR1:
-                if tok[0] != "comma":
-                    raise _unexpected(tok, "','")
-                stack.append((_PAIR2, frame[1], t))
-                acc = None
-                break
-            else:
-                if tok[0] != "rangle":
-                    raise _unexpected(tok, "'>'")
-                acc = frame[1]
-                t = mk_pair(frame[2], t)
+            if piece != ">":
+                raise _unexpected(text, i - 1, "'>'")
+            acc = frame[0]
+            t = mk_pair(frame[1], t)
+        acc = t if acc is None else App(acc, t)
 
 
 def _inline(t: Term, env: Program | None) -> Term:
@@ -213,29 +180,41 @@ def _inline(t: Term, env: Program | None) -> Term:
 def parse_term(text: str, env: Program | None = None) -> Term:
     """Parse a single term; names defined in `env` are inlined, all other
     identifiers become free variables."""
-    ts = _Tokens(_tokenize(text))
-    t = _term(ts)
-    ts.expect("eof", "end of input")
+    toks = _tokens(text)
+    try:
+        t, i = _term(text, toks, 0, {})
+    except RecursionError as err:
+        raise _stray(text) or err
+    if toks[i] is not _END:
+        raise _unexpected(text, i, "end of input")
     return _inline(t, env)
 
 
 def parse_program(text: str, base: Program | None = None) -> Program:
     """Parse `name = term ;` definitions, inlining earlier names (and the
     optional `base` program) into later bodies."""
-    ts = _Tokens(_tokenize(text))
+    toks = _tokens(text)
     defs: list[tuple[str, Term]] = list(base.definitions) if base else []
     seen = {name for name, _ in defs}
-    while ts.peek()[0] != "eof":
-        name_tok = ts.expect("ident", "a definition name")
-        name = name_tok[1]
-        if name in seen:
-            raise DuplicateNameError(name)
-        ts.expect("equals", "'='")
-        body = _term(ts)
-        ts.expect("semi", "';'")
-        body = _inline(body, Program(tuple(defs)))
-        defs.append((name, body))
-        seen.add(name)
+    leaves: dict[str, Var] = {}
+    i = 0
+    try:
+        while toks[i] is not _END:
+            name = toks[i][0]
+            if not name:
+                raise _unexpected(text, i, "a definition name")
+            if name in seen:
+                raise DuplicateNameError(name)
+            if toks[i + 1][1] != "=":
+                raise _unexpected(text, i + 1, "'='")
+            body, i = _term(text, toks, i + 2, leaves)
+            if toks[i][1] != ";":
+                raise _unexpected(text, i, "';'")
+            i += 1
+            defs.append((name, _inline(body, Program(tuple(defs)))))
+            seen.add(name)
+    except (DuplicateNameError, RecursionError) as err:
+        raise _stray(text) or err
     return Program(tuple(defs))
 
 
@@ -254,26 +233,31 @@ def pretty(t: Term) -> str:
     stack: list = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, str):
+        cls = type(node)
+        if cls is str:
             parts.append(node)
-        elif isinstance(node, Var):
-            parts.append(node.name)
-        elif isinstance(node, Lam):
+            continue
+        while cls is Lam:
             parts.append("\\" + node.binder + ".")
-            stack.append(node.body)
-        else:
-            # An application spine: the head, then each argument, which
-            # needs parentheses unless it is a variable.  Pushed last first.
-            while isinstance(node, App):
-                arg = node.arg
-                if isinstance(arg, Var):
-                    stack.append(arg.name)
-                else:
-                    stack += (")", arg, "(")
-                stack.append(" ")
-                node = node.fn
-            if isinstance(node, Lam):
-                stack += (")", node, "(")
+            node = node.body
+            cls = type(node)
+        if cls is Var:
+            parts.append(node.name)
+            continue
+        # An application spine: the head, then each argument, which needs
+        # parentheses unless it is a variable.  The arguments are pushed
+        # last first.
+        while cls is App:
+            arg = node.arg
+            if type(arg) is Var:
+                stack.append(" " + arg.name)
             else:
-                stack.append(node.name)
+                stack += (")", arg, " (")
+            node = node.fn
+            cls = type(node)
+        if cls is Var:
+            parts.append(node.name)
+        else:
+            parts.append("(")
+            stack += (")", node)
     return "".join(parts)

@@ -236,6 +236,31 @@ def test_definable_with_no_cases_is_inconclusive(capsys):
     assert out.startswith("succ on church: inconclusive (0 passed")
 
 
+@pytest.mark.parametrize("argv, message", [
+    ((), "numlam: error: the following arguments are required: command"),
+    (("bogus",), "numlam: error: argument command: invalid choice: 'bogus'"),
+    (("eval",), "numlam eval: error: the following arguments are required: term"),
+    (("eval", "x", "--fuel", "abc"), "numlam eval: error: argument --fuel: invalid int value: 'abc'"),
+])
+def test_usage_error_returns_one_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_help_still_exits_zero(capsys):
+    code, out, _ = run(capsys, "eval", "--help")
+    assert code == 0 and out.startswith("usage: numlam eval")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "church", "all", "--upto", "-1"),
+    ("definable", "church", "--prelude", "S_church", "--fn", "succ", "--upto", "-1"),
+])
+def test_negative_upto_is_bad_input(capsys, argv):
+    assert run(capsys, *argv) == (1, "", "upto must be at least 0\n")
+
+
 # The default --json bytes of these commands are pinned: a change to the
 # engine must leave every verdict, step count and printed witness as it is.
 # The definable run has distinct cases whose witnesses print renamed binders.

@@ -1,7 +1,11 @@
+import copy
+import pickle
 import random
+import sys
 
 import pytest
 
+import oracle
 from numlam import (
     App,
     DuplicateNameError,
@@ -19,8 +23,9 @@ from numlam import (
     parse_program,
     parse_term,
     pretty,
+    substitute,
 )
-from termgen import random_term
+from termgen import FREE_POOL, random_term, rename_bound
 
 
 def test_parse_true_combinator():
@@ -184,3 +189,207 @@ def test_round_trip_random_terms():
         again = parse_term(pretty(t))
         assert again == t, pretty(t)
         assert alpha_eq(again, t)
+
+
+def test_parse_reuses_one_var_per_name_and_it_does_not_show():
+    text = r"\x y.x (y x) <x, z> z"
+    parsed = parse_term(text)
+    built = Lam("x", Lam("y", App(
+        App(App(Var("x"), App(Var("y"), Var("x"))), mk_pair(Var("x"), Var("z"))),
+        Var("z"))))
+    leaves = parsed.body.body.fn.fn.fn, parsed.body.body.fn.fn.arg.arg
+    assert leaves[0] is leaves[1]
+    assert_same_term(parsed, built)
+
+
+def assert_same_term(parsed, built):
+    """A parsed term, whose leaves are shared, and the same term built node
+    by node behave alike."""
+    assert parsed == built
+    assert hash(parsed) == hash(built)
+    assert repr(parsed) == repr(built)
+    assert copy.deepcopy(parsed) == built
+    assert pickle.loads(pickle.dumps(parsed)) == built
+    assert pretty(parsed) == pretty(built)
+    s = {name: Var("x") for name in FREE_POOL + ("z",)}
+    assert substitute(parsed, s) == substitute(built, s)
+    assert alpha_eq(parsed, built)
+
+
+def test_shared_leaves_are_invisible_on_random_terms():
+    rng = random.Random(1010)
+    for _ in range(300):
+        t = random_term(rng, rng.randint(1, 60))
+        parsed = parse_term(pretty(t))
+        assert_same_term(parsed, t)
+        other = rename_bound(t, rng) if rng.random() < 0.5 else random_term(rng, 20)
+        assert alpha_eq(parsed, other) == alpha_eq(t, other)
+        assert alpha_eq(other, parsed) == alpha_eq(other, t)
+
+
+# ---------------------------------------------------------------------------
+# The parser and printer against the ones kept in tests/oracle.py: the same
+# terms, the same printed bytes and the same errors, with the same position,
+# expectation and found piece.
+
+SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", " -- comment: \\ ( # - 1 ' λ <\n", "--\n")
+
+
+def _text_tokens(rng, t, out):
+    """Append the tokens of a text for t, or for a term near it where an
+    application is written as a pair.  Binders are grouped at random,
+    λ stands for \\ at random and some atoms get parentheses they do not
+    need."""
+    if type(t) is Var:
+        out.append(t.name)
+    elif type(t) is Lam:
+        out += (rng.choice("\\λ"), t.binder)
+        t = t.body
+        while type(t) is Lam and rng.random() < 0.5:
+            out.append(t.binder)
+            t = t.body
+        out.append(".")
+        _text_tokens(rng, t, out)
+    elif rng.random() < 0.1:
+        out.append("<")
+        _text_tokens(rng, t.fn, out)
+        out.append(",")
+        _text_tokens(rng, t.arg, out)
+        out.append(">")
+    else:
+        for part, needed in ((t.fn, type(t.fn) is Lam), (t.arg, type(t.arg) is not Var)):
+            if needed or rng.random() < 0.1:
+                out.append("(")
+                _text_tokens(rng, part, out)
+                out.append(")")
+            else:
+                _text_tokens(rng, part, out)
+
+
+def _join(rng, tokens):
+    text = ""
+    after_name = False
+    for tok in tokens:
+        name = tok[0].isalpha() or tok[0] == "_"
+        if (name and after_name) or rng.random() < 0.3:
+            text += rng.choice(SEPARATORS)
+        text += tok
+        after_name = name
+    if rng.random() < 0.2:
+        text += rng.choice(SEPARATORS + ("  -- a last comment",))
+    return text
+
+
+def random_text(rng):
+    tokens = []
+    _text_tokens(rng, random_term(rng, rng.randint(1, 40)), tokens)
+    return _join(rng, tokens)
+
+
+def random_program(rng):
+    tokens = []
+    for _ in range(rng.randint(0, 4)):
+        # Defined names take the free names too, so later bodies inline them.
+        tokens += (rng.choice(FREE_POOL + ("K", "S_1", "pair'")), "=")
+        _text_tokens(rng, random_term(rng, rng.randint(1, 25)), tokens)
+        tokens.append(";")
+    return _join(rng, tokens)
+
+
+def mutate(rng, text):
+    """Break text, or not, by one edit."""
+    i = rng.randrange(len(text) + 1)
+    roll = rng.random()
+    if roll < 0.25 and text:
+        i = min(i, len(text) - 1)
+        return text[:i] + text[i + 1:]
+    if roll < 0.5:
+        return text[:i] + rng.choice("#-1'()<>,.=;\\λ x") + text[i:]
+    if roll < 0.75:
+        # A character that starts no token, put where a token starts.
+        starts = [j for j, c in enumerate(text) if c.isalpha() or c in "_(<\\λ"]
+        j = rng.choice(starts) if starts else i
+        return text[:j] + rng.choice("#-1'") + text[j:]
+    brackets = [j for j, c in enumerate(text) if c in "()<>"]
+    if brackets and rng.random() < 0.5:
+        j = rng.choice(brackets)
+        return text[:j] + text[j + 1:]
+    return text[:i] + rng.choice("()<>") + text[i:]
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return ParseError, err.position, err.expected, err.found
+    except DuplicateNameError as err:
+        return DuplicateNameError, err.name
+
+
+def assert_parses_like_oracle(text):
+    new = outcome(parse_term, text)
+    old = outcome(oracle.parse_term, text)
+    assert new == old, text
+    if not isinstance(new, tuple):
+        assert pretty(new) == oracle.pretty(old), text
+
+
+def assert_program_parses_like_oracle(text):
+    new = outcome(parse_program, text)
+    old = outcome(oracle.parse_program, text)
+    assert new == old, text
+
+
+def test_parse_term_matches_oracle_on_seeded_texts():
+    rng = random.Random(1001)
+    for _ in range(500):
+        text = random_text(rng)
+        assert_parses_like_oracle(text)
+        assert not isinstance(outcome(parse_term, text), tuple), text
+
+
+def test_parse_term_errors_match_oracle_on_seeded_texts():
+    rng = random.Random(1002)
+    errors = 0
+    for _ in range(1500):
+        text = random_text(rng)
+        for _ in range(rng.randint(1, 2)):
+            text = mutate(rng, text)
+        assert_parses_like_oracle(text)
+        errors += isinstance(outcome(parse_term, text), tuple)
+    assert errors > 1000
+
+
+def test_parse_program_matches_oracle_on_seeded_texts():
+    rng = random.Random(1003)
+    kinds = set()
+    for _ in range(600):
+        text = random_program(rng)
+        if rng.random() < 0.6:
+            text = mutate(rng, text)
+        assert_program_parses_like_oracle(text)
+        result = outcome(parse_program, text)
+        kinds.add(result[0] if isinstance(result, tuple) else Program)
+    assert kinds == {Program, ParseError, DuplicateNameError}
+
+
+@pytest.mark.parametrize("parse, text, where", [
+    # A duplicate name comes first, a character that starts no token later:
+    # that character is reported.
+    (parse_program, "a = x;\na = y;\nb = z # ;", 20),
+    (parse_program, "a = x;\na = y;\n-- fine\nb = z - ;", 28),
+    (parse_term, "(x y -- a comment\n ) ) 'z", 23),
+])
+def test_a_character_that_starts_no_token_is_reported_first(parse, text, where):
+    assert outcome(parse, text) == (ParseError, where, "a term", text[where])
+    assert outcome(getattr(oracle, parse.__name__), text) == outcome(parse, text)
+
+
+def test_a_character_that_starts_no_token_is_reported_before_a_deep_term_fails():
+    # The pair's component is deeper than the recursion limit of the walk
+    # that takes its free variables.
+    depth = sys.getrecursionlimit() + 1000
+    text = "<" + "\\x." * depth + "x, y> #"
+    assert outcome(parse_term, text) == (ParseError, len(text) - 1, "a term", "#")
+    program = "p = " + text[:-2] + "; q = #;"
+    assert outcome(parse_program, program) == (ParseError, len(program) - 2, "a term", "#")

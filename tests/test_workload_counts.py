@@ -1,5 +1,5 @@
-"""One pass of each benchmark workload at seed 1 keeps its verdicts and its
-beta and head step counts.
+"""One pass of each benchmark workload at seed 1 keeps its verdicts, its
+beta and head step counts and, for `head`, the bytes it prints.
 
 `bench/workloads.py` builds the benchmark's inputs and holds their known
 answers.  It is loaded here from its file as it is and run through numlam's
@@ -7,6 +7,7 @@ exported names, without the benchmark's timing or tracing.  The counts are
 those of the records in `bench/baseline/`: a speed-up must keep them.
 """
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -50,6 +51,9 @@ EXPECTED = {
     "head": (2_503, 0, 17_458),
 }
 
+# sha256 of the texts one head pass at seed 1 prints, joined with newlines.
+HEAD_TEXTS_SHA256 = "5dc18e19ed4c66a5a1d1292b65d2e8e1848ce96807cc9dff6a4528f12ceb5d81"
+
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_workload_pass_keeps_verdicts_and_step_counts(name):
@@ -61,6 +65,10 @@ def test_workload_pass_keeps_verdicts_and_step_counts(name):
     assert sum(o.cases for o in outcomes) == verdicts
     assert sum(o.beta_steps for o in outcomes) == beta_steps
     assert sum(o.head_steps for o in outcomes) == head_steps
+    texts = [o.text for o in outcomes if o.text is not None]
     for o in outcomes:
         if o.text is not None:
             assert numlam.alpha_eq(numlam.parse_term(o.text), o.term)
+    if name == "head":
+        assert len(texts) == verdicts
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == HEAD_TEXTS_SHA256
