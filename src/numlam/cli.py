@@ -49,11 +49,25 @@ def prelude() -> Program:
     return Program(tuple(defs))
 
 
+class _DefsSyntaxError(Exception):
+    """A syntax error in a --defs file; the message names the file, line and
+    column."""
+
+
 def _environment(args) -> Program:
     base = prelude() if args.prelude else None
     if args.defs:
         with open(args.defs, encoding="utf-8") as handle:
-            return parse_program(handle.read(), base)
+            text = handle.read()
+        try:
+            return parse_program(text, base)
+        except ParseError as err:
+            at = err.position
+            line = text.count("\n", 0, at) + 1
+            column = at - text.rfind("\n", 0, at)
+            raise _DefsSyntaxError(
+                f"{args.defs}:{line}:{column}: syntax error: {err}"
+            ) from None
     return base or Program()
 
 
@@ -109,12 +123,11 @@ def cmd_eval(args) -> int:
         }
         _emit(args, payload, [text, f"steps: {out.steps} beta, {out.eta_steps} eta"])
         return EXIT_PASS
-    payload = {
-        "format": REPORT_FORMAT,
-        "status": "out_of_fuel",
-        "term": pretty(out.term),
-        "steps": out.steps,
-    }
+    payload = {"format": REPORT_FORMAT, "status": "out_of_fuel"}
+    if args.json:
+        # Only the JSON report shows the partial term.
+        payload["term"] = pretty(out.term)
+    payload["steps"] = out.steps
     _emit(args, payload, [f"out of fuel after {out.steps} steps"])
     return EXIT_FUEL
 
@@ -327,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except ParseError as err:
         print(f"syntax error: {err}", file=sys.stderr)
+        return EXIT_FAIL
+    except _DefsSyntaxError as err:
+        print(str(err), file=sys.stderr)
         return EXIT_FAIL
     except DuplicateNameError as err:
         print(f"definition error: {err}", file=sys.stderr)

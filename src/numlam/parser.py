@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .terms import App, Lam, Term, Var, mk_pair, substitute
+from .terms import App, Lam, Term, Var, free_vars, mk_pair, substitute
 
 
 class ParseError(Exception):
@@ -171,10 +171,14 @@ def _term(text: str, toks: list, i: int, leaves: dict[str, Var]) -> tuple[Term, 
         acc = t if acc is None else App(acc, t)
 
 
-def _inline(t: Term, env: Program | None) -> Term:
-    if env is None or not env.definitions:
+def _inline(t: Term, env: dict[str, Term]) -> Term:
+    """t with each name defined in env that is free in t replaced by its
+    definition.  Only those names go to `substitute`, so the cost follows
+    t and the definitions it uses, not the size of env."""
+    if not env:
         return t
-    return substitute(t, env.as_mapping())
+    used = {name: env[name] for name in free_vars(t) if name in env}
+    return substitute(t, used) if used else t
 
 
 def parse_term(text: str, env: Program | None = None) -> Term:
@@ -187,7 +191,7 @@ def parse_term(text: str, env: Program | None = None) -> Term:
         raise _stray(text) or err
     if toks[i] is not _END:
         raise _unexpected(text, i, "end of input")
-    return _inline(t, env)
+    return _inline(t, env.as_mapping()) if env is not None else t
 
 
 def parse_program(text: str, base: Program | None = None) -> Program:
@@ -195,7 +199,8 @@ def parse_program(text: str, base: Program | None = None) -> Program:
     optional `base` program) into later bodies."""
     toks = _tokens(text)
     defs: list[tuple[str, Term]] = list(base.definitions) if base else []
-    seen = {name for name, _ in defs}
+    # The definitions so far by name, grown one definition at a time.
+    env = dict(defs)
     leaves: dict[str, Var] = {}
     i = 0
     try:
@@ -203,7 +208,7 @@ def parse_program(text: str, base: Program | None = None) -> Program:
             name = toks[i][0]
             if not name:
                 raise _unexpected(text, i, "a definition name")
-            if name in seen:
+            if name in env:
                 raise DuplicateNameError(name)
             if toks[i + 1][1] != "=":
                 raise _unexpected(text, i + 1, "'='")
@@ -211,8 +216,9 @@ def parse_program(text: str, base: Program | None = None) -> Program:
             if toks[i][1] != ";":
                 raise _unexpected(text, i, "';'")
             i += 1
-            defs.append((name, _inline(body, Program(tuple(defs)))))
-            seen.add(name)
+            body = _inline(body, env)
+            defs.append((name, body))
+            env[name] = body
     except (DuplicateNameError, RecursionError) as err:
         raise _stray(text) or err
     return Program(tuple(defs))
@@ -246,11 +252,12 @@ def pretty(t: Term) -> str:
             continue
         # An application spine: the head, then each argument, which needs
         # parentheses unless it is a variable.  The arguments are pushed
-        # last first.
+        # last first; a variable's name and the space before it go as two
+        # items, so no string is built for them.
         while cls is App:
             arg = node.arg
             if type(arg) is Var:
-                stack.append(" " + arg.name)
+                stack += (arg.name, " ")
             else:
                 stack += (")", arg, " (")
             node = node.fn

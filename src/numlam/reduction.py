@@ -7,15 +7,18 @@ three-valued `EqVerdict` (decided by `report.beta_eta_eq`): Equal and
 Distinct are definitive (both sides reached beta-eta-normal form), Unknown
 means fuel ran out and is never collapsed to a definite answer.
 
-Beta-normalization is one iterative normal-order pass over a context stack
-(a zipper): it reduces the head of each spine, then goes on into binders
-and arguments (Sestoft, "Demonstrating lambda calculus reduction", 2002),
-resuming at each contraction site instead of searching again from the
-root.  Its invariant: it contracts the leftmost-outermost redexes that a
-search from the root after each step would, in the same order, so the step
-counts and, at every fuel, the partial term are those of step-by-step
-reduction.  `beta_step_normal_order` is one step of that pass.  The eta
-pass after it is a post-order walk over an explicit stack.
+Beta-normalization and head reduction run on one machine, a state
+(binders, head, argument spine) in the manner of Krivine's machine: a step
+contracts the head redex in place of its spine, so it costs the redex body
+and not the length of the spine.  Beta-normalization is one iterative
+normal-order pass in the order of Sestoft ("Demonstrating lambda calculus
+reduction", 2002): it head-reduces, then normalizes the arguments of the
+head normal form left to right, each on a machine of its own, the waiting
+machines kept on a stack.  Its invariant: it contracts the leftmost-outermost
+redexes that a search from the root after each step would, in the same
+order, so the step counts and, at every fuel, the partial term are those of
+step-by-step reduction.  `beta_step_normal_order` is one step of that pass.
+The eta pass after it is a post-order walk over an explicit stack.
 
 A closed abstraction that a pass returns as normal is marked so in its
 free-variable cache (see `terms`): beta-normal by `beta_normalize`,
@@ -24,12 +27,9 @@ abstraction as a normal leaf and does not walk into it, so a numeral that
 one check has normalized costs the next check nothing, and neither do the
 marked numerals nested inside a new one.
 
-Head reduction runs on a machine state (binders, head, argument spine) in
-the manner of Krivine's machine: a step contracts the head redex in place
-of its spine, so it costs the redex body and not the length of the spine.
-`head_reduce` records each step as its state, and its trace builds the
-terms of the states only when they are read.  `head_step`, `head_redex` and
-`is_head_normal_form` use the same machine.
+`head_reduce` records each step as its machine state, and its trace builds
+the terms of the states only when they are read.  `head_step`, `head_redex`
+and `is_head_normal_form` use the same machine.
 """
 
 from __future__ import annotations
@@ -89,30 +89,35 @@ ReductionOutcome = Normal | OutOfFuel
 
 
 # ---------------------------------------------------------------------------
+# The machine
+#
+# beta_normalize and head_reduce run on a state (binders, head, spine) that
+# stands for the term λb1…λbk.(head V1 … Vm).  Both lists are persistent
+# cons lists, None when empty, so a step shares them with the state before
+# it:
+#   binders   (lam, rest), the abstractions around head, the innermost on
+#             top; lam.binder is the bound name;
+#   spine     (app, rest), the applications whose function is head, the
+#             innermost on top; app.arg is an argument, the first on top.
+# The lists hold the nodes of the term rather than names and arguments, so
+# the head redex of a term is one of its own subterms, and a part of a state
+# that no step has changed rebuilds to the very nodes it was read from.
+
+
+def _state_term(binders, head: Term, spine) -> Term:
+    """The term a machine state stands for.  A node of the lists whose
+    function or body is the term built so far is reused as it is."""
+    while spine is not None:
+        node, spine = spine
+        head = node if head is node.fn else App(head, node.arg)
+    while binders is not None:
+        lam, binders = binders
+        head = lam if head is lam.body else Lam(lam.binder, head)
+    return head
+
+
+# ---------------------------------------------------------------------------
 # Beta
-
-# Frames of the context stack (zipper) that beta_normalize keeps
-# from the root to its focus:
-#   (_BODY, lam)          the focus is the body of lam
-#   (_FN, app)            the focus is the function of app; app.arg waits
-#   (_ARG, app, fn)       the focus is the argument of app, whose function
-#                         is now the normal fn
-_BODY, _FN, _ARG = 0, 1, 2
-
-
-def _plug(t: Term, stack: list) -> Term:
-    """The whole term: the focus t put back into its context."""
-    for frame in reversed(stack):
-        node = frame[1]
-        if frame[0] == _BODY:
-            t = node if t is node.body else Lam(node.binder, t)
-        elif frame[0] == _FN:
-            t = node if t is node.fn else App(t, node.arg)
-        else:
-            fn = frame[2]
-            t = node if fn is node.fn and t is node.arg else App(fn, t)
-    return t
-
 
 def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     """Beta-normalize t in normal order, spending at most fuel.max_steps.
@@ -132,57 +137,77 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     beta-normal.  Only an abstraction whose cache already says it is closed
     is marked, so no free-variable walk is made for it.
 
-    The pass keeps its focus and the context above it as a stack of frames.
-    Everything left of the focus in the order node, function, argument is
-    beta-normal and no ancestor of the focus is a redex, so the next redex
-    is at or after the focus.  A contraction changes only the focus, and it
-    can make a redex above it in one way: a contractum that is an
-    abstraction in function position makes its parent application a redex,
-    so the pass steps back up to that parent.  Otherwise it resumes at the
-    contractum.
+    The pass runs the head machine (see above) in the order of Sestoft
+    ("Demonstrating lambda calculus reduction", 2002): it head-reduces a
+    term to λb1…λbk.(x V1 … Vm), then normalizes V1 to Vm left to right,
+    each on a machine of its own, and the leftmost-outermost redex is always
+    the head redex of the machine at work.  A contraction pops its argument
+    off the spine and leaves the contractum as the head, so a contractum
+    that is an abstraction meets its next argument without an application
+    built around it.  The machines that wait for an argument's normal form
+    are kept on a stack of levels; a finished argument is put back into its
+    application, which is reused when nothing in it changed.
     """
     max_steps = fuel.max_steps
-    stack: list = []
     steps = 0
+    # The waiting machines, outermost first: (binders, fn, spine) waits for
+    # the normal form of spine[0].arg; fn is the normal form of what spine[0]
+    # applies, and spine[1] holds the applications still to go.
+    levels: list = []
+    binders = spine = None
+    head = t
+    # The unwinding, the contraction and the rebuilding of a finished level
+    # are written out in this loop rather than called: a function call per
+    # step costs a measurable share of the pass.
     while True:
         # Exact class tests, as in terms: Var, Lam and App have no subclasses.
-        cls = type(t)
+        cls = type(head)
         if cls is App:
-            fn = t.fn
-            if type(fn) is Lam:
-                if steps == max_steps:
-                    return OutOfFuel(_plug(t, stack), steps)
-                t = substitute(fn.body, {fn.binder: t.arg})
-                steps += 1
-                if type(t) is Lam and stack and stack[-1][0] == _FN:
-                    t = App(t, stack.pop()[1].arg)
-            else:
-                stack.append((_FN, t))
-                t = fn
+            spine = (head, spine)
+            head = head.fn
             continue
         if cls is Lam:
-            fv = t._fv
-            if fv is not _BETA_NORMAL and fv is not _BETA_ETA_NORMAL:
-                stack.append((_BODY, t))
-                t = t.body
+            if spine is not None:
+                if steps == max_steps:
+                    t = _state_term(binders, head, spine)
+                    for binders, fn, spine in reversed(levels):
+                        node, spine = spine
+                        t = node if fn is node.fn and t is node.arg else App(fn, t)
+                        t = _state_term(binders, t, spine)
+                    return OutOfFuel(t, steps)
+                node, spine = spine
+                head = substitute(head.body, {head.binder: node.arg})
+                steps += 1
                 continue
-        # The focus is normal: go up to the first argument not yet visited.
-        while stack:
-            frame = stack.pop()
-            node = frame[1]
-            if frame[0] == _BODY:
-                t = node if t is node.body else Lam(node.binder, t)
-            elif frame[0] == _FN:
-                stack.append((_ARG, node, t))
-                t = node.arg
+            fv = head._fv
+            if fv is not _BETA_NORMAL and fv is not _BETA_ETA_NORMAL:
+                binders = (head, binders)
+                head = head.body
+                continue
+        elif spine is not None:
+            # Head normal form: normalize the first argument.
+            levels.append((binders, head, spine))
+            head = spine[0].arg
+            binders = spine = None
+            continue
+        # The head is normal and nothing is applied to it: close the
+        # binders, then hand the result to the level that waits for it.
+        while True:
+            while binders is not None:
+                lam, binders = binders
+                head = lam if head is lam.body else Lam(lam.binder, head)
+            if not levels:
+                if type(head) is Lam and head._fv is _NO_NAMES:
+                    _set_lam_fv(head, _BETA_NORMAL)
+                return Normal(head, steps)
+            binders, fn, spine = levels.pop()
+            node, spine = spine
+            head = node if fn is node.fn and head is node.arg else App(fn, head)
+            if spine is not None:
+                levels.append((binders, head, spine))
+                head = spine[0].arg
+                binders = spine = None
                 break
-            else:
-                fn = frame[2]
-                t = node if fn is node.fn and t is node.arg else App(fn, t)
-        else:
-            if type(t) is Lam and t._fv is _NO_NAMES:
-                _set_lam_fv(t, _BETA_NORMAL)
-            return Normal(t, steps)
 
 
 def beta_step_normal_order(t: Term) -> Term | None:
@@ -344,14 +369,8 @@ def unknown(reason: str) -> EqVerdict:
 # ---------------------------------------------------------------------------
 # Head reduction
 #
-# The machine's state (binders, head, spine) stands for the term
-# λb1…λbk.(head V1 … Vm).  Both lists are persistent cons lists, None when
-# empty, so a step shares them with the state before it:
-#   binders   (name, rest), the innermost binder on top;
-#   spine     (app, rest), the applications whose function is head, the
-#             innermost on top; app.arg is an argument, the first on top.
-# The spine holds the application nodes rather than their arguments, so the
-# head redex of a term is one of its own subterms.
+# head_reduce runs the machine of beta_normalize one head step at a time and
+# records each state; `_state_term` builds the terms of the states.
 
 def _unwind(head: Term, binders, spine):
     """Make the machine's moves that contract nothing: an application head
@@ -364,21 +383,10 @@ def _unwind(head: Term, binders, spine):
             spine = (head, spine)
             head = head.fn
         elif cls is Lam and spine is None:
-            binders = (head.binder, binders)
+            binders = (head, binders)
             head = head.body
         else:
             return binders, head, spine
-
-
-def _state_term(binders, head: Term, spine) -> Term:
-    """The term a machine state stands for."""
-    while spine is not None:
-        node, spine = spine
-        head = App(head, node.arg)
-    while binders is not None:
-        name, binders = binders
-        head = Lam(name, head)
-    return head
 
 
 class HeadTrace:
@@ -386,8 +394,7 @@ class HeadTrace:
 
     The reduction records each step as its machine state, not as a term.
     `states` builds the terms on first read and keeps them; states[0] is the
-    reduced term itself.  `final` builds only the last state.  Traces
-    compare, hash and print by their states.
+    reduced term itself.  `final` builds only the last state.
     """
 
     __slots__ = ("_start", "_steps", "_final", "_states")
@@ -417,17 +424,6 @@ class HeadTrace:
                 built.append(self.final)
             self._states = tuple(built)
         return self._states
-
-    def __eq__(self, other):
-        if not isinstance(other, HeadTrace):
-            return NotImplemented
-        return self.states == other.states
-
-    def __hash__(self):
-        return hash(self.states)
-
-    def __repr__(self):
-        return f"HeadTrace(states={self.states!r})"
 
 
 @dataclass(frozen=True, slots=True)

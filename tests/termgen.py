@@ -150,6 +150,38 @@ def beta_expand(t: Term, rng: random.Random, steps: int) -> Term:
     return t
 
 
+def random_spine_term(rng: random.Random, marked: tuple, depth: int = 2, scope=()) -> Term:
+    """A random λb1…λbk.(h V1 … Vm) for the normal-order machine: the head h
+    is a variable, an abstraction or one of the `marked` closed normal
+    abstractions, so that some heads are redexes, and each argument is a
+    term with beta-redexes inside, a nested term of the same kind (down to
+    `depth`), a marked abstraction or a plain random term."""
+    binders = tuple(rng.choice(BINDER_POOL) for _ in range(rng.randint(0, 2)))
+    scope = tuple(scope) + binders
+    roll = rng.random()
+    if roll < 0.5:
+        body: Term = Var(rng.choice(scope + FREE_POOL))
+    elif roll < 0.75:
+        name = rng.choice(BINDER_POOL)
+        body = Lam(name, random_term(rng, rng.randint(1, 8), scope + (name,)))
+    else:
+        body = rng.choice(marked)
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        if roll < 0.3 and depth > 0:
+            arg = random_spine_term(rng, marked, depth - 1, scope)
+        elif roll < 0.55:
+            arg = beta_expand(random_term(rng, rng.randint(1, 6), scope), rng, rng.randint(1, 2))
+        elif roll < 0.75:
+            arg = rng.choice(marked)
+        else:
+            arg = random_term(rng, rng.randint(1, 8), scope)
+        body = App(body, arg)
+    for b in reversed(binders):
+        body = Lam(b, body)
+    return body
+
+
 # ---------------------------------------------------------------------------
 # The free-variable caches
 

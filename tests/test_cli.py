@@ -52,6 +52,19 @@ def test_eval_out_of_fuel(capsys):
     assert "out of fuel" in out
 
 
+
+def test_eval_out_of_fuel_prints_the_partial_term_only_in_json(capsys, monkeypatch):
+    import numlam.cli as cli
+
+    printed = []
+    monkeypatch.setattr(cli, "pretty", lambda t: printed.append(t) or "TERM")
+    code, out, _ = run(capsys, "eval", r"(\x.x x) (\x.x x)", "--fuel", "100")
+    assert code == 2 and out == "out of fuel after 100 steps\n" and not printed
+    code, out, _ = run(capsys, "eval", r"(\x.x x) (\x.x x)", "--fuel", "100", "--json")
+    assert code == 2 and len(printed) == 1
+    assert list(json.loads(out).items())[1:] == [
+        ("status", "out_of_fuel"), ("term", "TERM"), ("steps", 100)]
+
 def test_eval_syntax_error(capsys):
     code, _, err = run(capsys, "eval", r"(\x")
     assert code == 1
@@ -136,6 +149,14 @@ def test_defs_file_not_utf8_is_one_line(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"{path}: not UTF-8 text")
 
+
+
+def test_defs_syntax_error_names_the_file_line_and_column(capsys, tmp_path):
+    path = tmp_path / "defs.lam"
+    path.write_text("I = \\x.x\nK = \\x.\\y.x;\n")
+    code, out, err = run(capsys, "eval", "--defs", str(path), "K (\\x")
+    assert code == 1 and out == ""
+    assert err == f"{path}:2:3: syntax error: at offset 11: expected ';', found '='\n"
 
 def test_defs_duplicate_name(capsys, tmp_path):
     path = tmp_path / "defs.lam"

@@ -61,6 +61,7 @@ from termgen import (
     positions,
     random_closed_term,
     random_hnf,
+    random_spine_term,
     random_term,
     rename_bound,
     replace_at,
@@ -384,6 +385,55 @@ def test_fuel_ladder_matches_oracle_on_contract_and_k_terms():
             assert assert_fuel_ladder(app(comb, church(n)), 1_000)
 
 
+def marked_abstractions():
+    """Closed normal abstractions carrying a mark: Church numerals marked
+    beta-normal and Barendregt numerals marked beta-eta-normal, made here
+    so that no shared term is marked."""
+    marked = []
+    for n in range(4):
+        d = church(n)
+        free_vars(d)
+        beta_normalize(d)
+        assert d._fv is _BETA_NORMAL
+        marked.append(d)
+    for n in range(1, 4):
+        d = barendregt(n)
+        free_vars(d)
+        beta_eta_normalize(d)
+        assert d._fv is _BETA_ETA_NORMAL
+        marked.append(d)
+    return tuple(marked)
+
+
+def test_fuel_ladder_matches_oracle_on_spine_terms():
+    """The normal-order machine on the shapes it treats apart: variable
+    heads whose arguments hold redexes, arguments that are head normal forms
+    with arguments of their own, and marked abstractions both applied and
+    as arguments, under binders; the partial term, the steps and the kind
+    of outcome at every fuel."""
+    rng = random.Random(1207)
+    marked = marked_abstractions()
+    lengths = []
+    for _ in range(250):
+        t = random_spine_term(rng, marked)
+        lengths.append(assert_fuel_ladder(t, 80))
+        assert_caches_sound(t)
+    assert lengths.count(0) > 10
+    assert sum(1 for n in lengths if n and n > 3) > 50
+    assert all(d._fv in (_BETA_NORMAL, _BETA_ETA_NORMAL) for d in marked)
+
+
+def test_marked_arguments_come_back_as_themselves():
+    marked = marked_abstractions()
+    d, e = marked[3], marked[-1]
+    t = Lam("y", app(Var("v"), d, App(I, Var("y")), e))
+    out = beta_normalize(t)
+    assert out == oracle.beta_normalize(t) and out.steps == 1
+    spine = out.term.body
+    assert spine.arg is e and spine.fn.fn.arg is d
+    assert beta_normalize(out.term).term is out.term
+
+
 # ---------------------------------------------------------------------------
 # Head reduction, fuel by fuel
 
@@ -480,6 +530,33 @@ def test_head_ladder_matches_oracle_on_contract_terms():
             if comb is not None:
                 for n in range(4):
                     assert assert_head_ladder(app(comb, system.numeral(n)), 1_000) is not None
+
+
+def test_head_redex_under_binders_matches_oracle():
+    """The head machine keeps the abstractions it passes as nodes; the head
+    redex it finds under them is the oracle's, as the very subterm of t."""
+    rng = random.Random(1208)
+    marked = marked_abstractions()
+    redexes = 0
+    for _ in range(400):
+        t = random_spine_term(rng, marked)
+        for b in rng.sample(BINDER_POOL, rng.randint(0, 3)):
+            t = Lam(b, t)
+        expected = oracle.head_step(t)
+        redex = head_redex(t)
+        assert (redex is None) == (expected is None) == is_head_normal_form(t)
+        node = t
+        while isinstance(node, Lam):
+            node = node.body
+        while isinstance(node, App) and isinstance(node.fn, App):
+            node = node.fn
+        if redex is None:
+            assert not (isinstance(node, App) and isinstance(node.fn, Lam))
+            continue
+        assert redex is node
+        assert head_step(t) == expected
+        redexes += 1
+    assert redexes > 100
 
 
 # ---------------------------------------------------------------------------

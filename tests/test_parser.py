@@ -19,6 +19,7 @@ from numlam import (
     alpha_eq,
     church,
     app,
+    free_vars,
     mk_pair,
     parse_program,
     parse_term,
@@ -84,6 +85,32 @@ def test_parse_program_inlines_earlier_names():
     prog = parse_program("T = \\x.\\y.x;\nP = \\x.(x T);")
     assert dict(prog.definitions)["P"] == Lam("x", App(Var("x"), T))
 
+
+
+def test_inlining_substitutes_only_the_names_a_body_uses(monkeypatch):
+    """Each body goes to substitute with the earlier definitions it uses
+    and no others, so a long file costs each body what it uses."""
+    parser_module = sys.modules["numlam.parser"]
+    calls = []
+
+    def recording(t, s):
+        calls.append((t, dict(s)))
+        return substitute(t, s)
+
+    monkeypatch.setattr(parser_module, "substitute", recording)
+    text = "".join(f"e{i} = \\x.x;\n" for i in range(300))
+    text += "two = \\f.\\x.f (f x);\nfour = two two;\nmix = \\y.e3 (four e7) y K;\n"
+    base = Program((("K", T),))
+    prog = parse_program(text, base)
+    assert prog == oracle.parse_program(text, base)
+    assert calls
+    for t, s in calls:
+        assert s and set(s) <= free_vars(t)
+    assert sorted(sorted(s) for _, s in calls) == [["K", "e3", "e7", "four"], ["two"]]
+    calls.clear()
+    env = Program(tuple((f"e{i}", I) for i in range(100)) + (("K", T),))
+    assert parse_term("K a", env) == App(T, Var("a"))
+    assert [s for _, s in calls] == [{"K": T}]
 
 def test_parse_program_duplicate_name():
     with pytest.raises(DuplicateNameError):

@@ -83,6 +83,38 @@ def test_beta_normalize_is_stack_safe():
     assert node == Var("x")
 
 
+
+def test_beta_normalize_long_spine_and_head_chain_are_stack_safe():
+    n = 50_000
+    ident = Lam("z", Var("z"))
+    # x ((λz.z) w) … ((λz.z) w): 50,000 arguments, each a redex.
+    spine = Var("x")
+    for _ in range(n):
+        spine = App(spine, App(ident, Var("w")))
+    out = beta_normalize(spine)
+    assert isinstance(out, Normal) and out.steps == n
+    node = out.term
+    for _ in range(n):
+        assert node.arg == Var("w")
+        node = node.fn
+    assert node == Var("x")
+    # Out of fuel halfway: the first half of the arguments is normal.
+    out = beta_normalize(spine, Fuel(n // 2))
+    assert isinstance(out, OutOfFuel) and out.steps == n // 2
+    node = out.term
+    for k in range(n):
+        assert node.arg == (App(ident, Var("w")) if k < n // 2 else Var("w"))
+        node = node.fn
+    assert node == Var("x")
+    # (λz.z) ((λz.z) (… ((λz.z) y))): each contractum is the next head redex.
+    chain = Var("y")
+    for _ in range(n):
+        chain = App(ident, chain)
+    assert beta_normalize(chain) == Normal(Var("y"), n)
+    out = beta_normalize(chain, Fuel(n - 1))
+    assert isinstance(out, OutOfFuel) and out.steps == n - 1
+    assert out.term == App(ident, Var("y"))
+
 def test_beta_normalize_omega_runs_out_of_fuel():
     out = beta_normalize(OMEGA, Fuel(100))
     assert isinstance(out, OutOfFuel)
@@ -317,4 +349,4 @@ def test_reduction_is_deterministic():
     assert first == second
     r1 = head_reduce(t, Fuel(40))
     r2 = head_reduce(t, Fuel(40))
-    assert r1 == r2
+    assert r1.trace.states == r2.trace.states and r1.reached_hnf == r2.reached_hnf
