@@ -49,9 +49,9 @@ def prelude() -> Program:
     return Program(tuple(defs))
 
 
-class _DefsSyntaxError(Exception):
-    """A syntax error in a --defs file; the message names the file, line and
-    column."""
+class _DefsError(Exception):
+    """A syntax error or a duplicate name in a --defs file; the message
+    names the file, line and column."""
 
 
 def _environment(args) -> Program:
@@ -61,12 +61,13 @@ def _environment(args) -> Program:
             text = handle.read()
         try:
             return parse_program(text, base)
-        except ParseError as err:
+        except (ParseError, DuplicateNameError) as err:
             at = err.position
             line = text.count("\n", 0, at) + 1
             column = at - text.rfind("\n", 0, at)
-            raise _DefsSyntaxError(
-                f"{args.defs}:{line}:{column}: syntax error: {err}"
+            kind = "syntax" if isinstance(err, ParseError) else "definition"
+            raise _DefsError(
+                f"{args.defs}:{line}:{column}: {kind} error: {err}"
             ) from None
     return base or Program()
 
@@ -341,11 +342,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return EXIT_FAIL
-    except _DefsSyntaxError as err:
+    except _DefsError as err:
         print(str(err), file=sys.stderr)
-        return EXIT_FAIL
-    except DuplicateNameError as err:
-        print(f"definition error: {err}", file=sys.stderr)
         return EXIT_FAIL
     except UnknownSystemError as err:
         print(str(err), file=sys.stderr)

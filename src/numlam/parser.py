@@ -17,7 +17,7 @@ and blank lines; each body is parsed in the environment of the preceding
 definitions and inlined, so parsed bodies are plain terms.
 
 One regex pass finds the tokens, without offsets, and the parser walks them
-by index.  Only a `ParseError` scans the text again, for its offset; a
+by index.  Only an error scans the text again, for its offset; a
 character that starts no token is reported first, wherever it stands, as
 though the whole text were read before it is parsed.
 """
@@ -42,8 +42,12 @@ class ParseError(Exception):
 
 
 class DuplicateNameError(Exception):
-    def __init__(self, name: str):
+    """A definition of a name already defined, with the offset of the
+    repeated name when it is known."""
+
+    def __init__(self, name: str, position: int | None = None):
         self.name = name
+        self.position = position
         super().__init__(f"duplicate definition of {name!r}")
 
 
@@ -85,9 +89,14 @@ def _stray(text: str) -> ParseError | None:
     return None
 
 
+def _pieces(text: str) -> list[re.Match]:
+    """The matches of the tokens of text, one for each item of _tokens."""
+    return [m for m in _TOKEN.finditer(text) if m[0][:2] != "--"]
+
+
 def _unexpected(text: str, i: int, what: str) -> ParseError:
     """The error for token i of text, found where `what` was wanted."""
-    pieces = [m for m in _TOKEN.finditer(text) if m[0][:2] != "--"]
+    pieces = _pieces(text)
     if i < len(pieces):
         return _stray(text) or ParseError(pieces[i].start(), what, pieces[i][0])
     return _stray(text) or ParseError(len(text), what, "end of input")
@@ -185,10 +194,7 @@ def parse_term(text: str, env: Program | None = None) -> Term:
     """Parse a single term; names defined in `env` are inlined, all other
     identifiers become free variables."""
     toks = _tokens(text)
-    try:
-        t, i = _term(text, toks, 0, {})
-    except RecursionError as err:
-        raise _stray(text) or err
+    t, i = _term(text, toks, 0, {})
     if toks[i] is not _END:
         raise _unexpected(text, i, "end of input")
     return _inline(t, env.as_mapping()) if env is not None else t
@@ -209,7 +215,7 @@ def parse_program(text: str, base: Program | None = None) -> Program:
             if not name:
                 raise _unexpected(text, i, "a definition name")
             if name in env:
-                raise DuplicateNameError(name)
+                raise _stray(text) or DuplicateNameError(name, _pieces(text)[i].start())
             if toks[i + 1][1] != "=":
                 raise _unexpected(text, i + 1, "'='")
             body, i = _term(text, toks, i + 2, leaves)
@@ -219,7 +225,8 @@ def parse_program(text: str, base: Program | None = None) -> Program:
             body = _inline(body, env)
             defs.append((name, body))
             env[name] = body
-    except (DuplicateNameError, RecursionError) as err:
+    except RecursionError as err:
+        # Inlining an earlier definition into a deep body still recurses.
         raise _stray(text) or err
     return Program(tuple(defs))
 

@@ -21,7 +21,7 @@ step-by-step reduction.  `beta_step_normal_order` is one step of that pass.
 The eta pass after it is a post-order walk over an explicit stack.
 
 A closed abstraction that a pass returns as normal is marked so in its
-free-variable cache (see `terms`): beta-normal by `beta_normalize`,
+set of free variables (see `terms`): beta-normal by `beta_normalize`,
 beta-eta-normal by the eta pass.  Every pass and scan here takes a marked
 abstraction as a normal leaf and does not walk into it, so a numeral that
 one check has normalized costs the next check nothing, and neither do the
@@ -45,7 +45,6 @@ from .terms import (
     Term,
     Var,
     _set_lam_fv,
-    free_vars,
     substitute,
 )
 
@@ -133,9 +132,7 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
 
     A marked abstraction (see `terms`) is a normal leaf: the pass does not
     go into it, though it still contracts it when it is applied.  A normal
-    form that is an abstraction known to be closed comes back marked
-    beta-normal.  Only an abstraction whose cache already says it is closed
-    is marked, so no free-variable walk is made for it.
+    form that is a closed abstraction comes back marked beta-normal.
 
     The pass runs the head machine (see above) in the order of Sestoft
     ("Demonstrating lambda calculus reduction", 2002): it head-reduces a
@@ -230,7 +227,7 @@ def _is_eta_redex(binder: str, body: Term) -> bool:
         isinstance(body, App)
         and isinstance(body.arg, Var)
         and body.arg.name == binder
-        and binder not in free_vars(body.fn)
+        and binder not in body.fn._fv
     )
 
 
@@ -290,8 +287,8 @@ def _eta(t: Term) -> tuple[Term, int]:
 
 
 def _mark_beta_eta_normal(t: Term) -> None:
-    """Mark t beta-eta-normal if it is an abstraction known to be closed;
-    t must be beta-eta-normal."""
+    """Mark t beta-eta-normal if it is a closed abstraction; t must be
+    beta-eta-normal."""
     if type(t) is Lam and (t._fv is _NO_NAMES or t._fv is _BETA_NORMAL):
         _set_lam_fv(t, _BETA_ETA_NORMAL)
 

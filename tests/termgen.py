@@ -186,27 +186,24 @@ def random_spine_term(rng: random.Random, marked: tuple, depth: int = 2, scope=(
 # The free-variable caches
 
 def assert_caches_sound(t: Term) -> None:
-    """Every filled `_fv` cache in t, on abstractions and on applications,
-    holds the free variables of its subtree as tests/oracle.py works them
-    out; a mark sits only on a closed abstraction; an empty cache is
-    otherwise the shared empty set; and a non-empty one is the one object
-    the table of sets keeps for it, so equal sets in two caches are the
-    same object."""
+    """Every node of t, variables included, holds in `_fv` the free
+    variables of its subtree as tests/oracle.py works them out; a mark sits
+    only on a closed abstraction; an empty set is otherwise the shared empty
+    set; and a non-empty one is the one object the table of sets keeps for
+    it, so equal sets on two nodes are the same object."""
     assert _NO_NAMES not in _SETS
     seen: set[int] = set()
     stack = [t]
     while stack:
         node = stack.pop()
-        if id(node) in seen or isinstance(node, Var):
+        if id(node) in seen:
             continue
         seen.add(id(node))
         fv = node._fv
         if isinstance(node, Lam):
             stack.append(node.body)
-        else:
+        elif isinstance(node, App):
             stack += (node.fn, node.arg)
-        if fv is None:
-            continue
         assert set(fv) == oracle.free_vars(node), node
         if fv is _BETA_NORMAL or fv is _BETA_ETA_NORMAL:
             assert isinstance(node, Lam), node

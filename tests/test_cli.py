@@ -165,6 +165,19 @@ def test_defs_duplicate_name(capsys, tmp_path):
     assert code == 1 and "duplicate" in err
 
 
+def test_defs_duplicate_name_names_the_file_line_and_column(capsys, tmp_path):
+    path = tmp_path / "defs.lam"
+    path.write_text("a = \\x.x;\n  -- again\n  a = \\y.y;\n")
+    code, out, err = run(capsys, "eval", "--defs", str(path), "a")
+    assert (code, out) == (1, "")
+    assert err == f"{path}:3:3: definition error: duplicate definition of 'a'\n"
+    # A name of the prelude, defined again.
+    path.write_text("I = \\x.x;\n")
+    code, out, err = run(capsys, "eval", "--prelude", "--defs", str(path), "I")
+    assert (code, out) == (1, "")
+    assert err == f"{path}:1:1: definition error: duplicate definition of 'I'\n"
+
+
 def test_prelude_names_resolve(capsys):
     code, out, _ = run(capsys, "eq", "--prelude", "S_barendregt I", "<F, I>")
     assert code == 0 and out.strip() == "Equal"
@@ -237,9 +250,15 @@ def test_eval_too_deep_for_the_engine_is_one_line():
     code, out, err = run_fresh("eval", church_text(3_000))
     assert code == 0, err
     assert out == church_text(3_000) + "\nsteps: 0 beta, 0 eta\n"
-    # Contracting a redex whose body is that deep still reaches a walk that
-    # recurses (free_vars, substitute): one line and exit 1.
+    # Every node knows its free variables, so contracting a redex whose
+    # bound name is not free in its deep body walks nothing.
     code, out, err = run_fresh("eval", "(\\y." + church_text(3_000) + r") (\u.u)")
+    assert code == 0, err
+    assert out == church_text(3_000) + "\nsteps: 1 beta, 0 eta\n"
+    # Substituting into a body that deep still reaches the one-name walk of
+    # substitute, which recurses: one line and exit 1.
+    body = r"\f.\x." + "f (" * 2_999 + "f y" + ")" * 2_999
+    code, out, err = run_fresh("eval", "(\\y." + body + r") (\u.u)")
     assert (code, out, err) == (1, "", "term nests too deep for the engine\n")
 
 

@@ -1,13 +1,12 @@
 """The engine against the named engine kept in tests/oracle.py.
 
-Free variables are cached on abstractions and applications, one object per
-set, `substitute` skips the subtrees in which nothing it replaces is free
-and substitutes one name on a walk of its own, `mk_pair` fills the cache
-of its pair, `beta_normalize` reduces in one pass instead of searching
-again from the root after every step, the reductions mark the closed
-normal forms they return and walk past marked ones, and `head_reduce` runs
-on a machine state and builds the terms of its trace only when they are
-read.  None of these may change a result:
+Every node is built with its free variables, one object per set,
+`substitute` skips the subtrees in which nothing it replaces is free and
+substitutes one name on a walk of its own, `beta_normalize` reduces in one
+pass instead of searching again from the root after every step, the
+reductions mark the closed normal forms they return and walk past marked
+ones, and `head_reduce` runs on a machine state and builds the terms of
+its trace only when they are read.  None of these may change a result:
 every term must come out structurally equal to the oracle's, with the same
 binder names, and every step count must be the same, at every fuel.
 `alpha_eq`, one walk over both terms in step, must agree with
@@ -115,10 +114,6 @@ def test_substitute_matches_oracle_on_seeded_corpus():
     for _ in range(1500):
         t = random_term(rng, rng.randint(1, 30))
         s = open_substitution(rng, t)
-        # Ask about some subterms first, so that cached and uncached
-        # abstractions meet in one substitution.
-        if rng.random() < 0.5:
-            free_vars(t)
         out = substitute(t, s)
         expected = oracle.substitute(t, s)
         assert out == expected
@@ -166,8 +161,6 @@ def test_one_binding_substitute_matches_oracle_on_seeded_corpus():
         occurrences = [node for node in preorder(t) if node == Var(x)]
         if occurrences and rng.random() < 0.1:
             arg = rng.choice(occurrences)
-        if rng.random() < 0.5:
-            free_vars(t)
         out = substitute(t, {x: arg})
         expected = oracle.substitute(t, {x: arg})
         assert out == expected
@@ -189,18 +182,13 @@ def test_one_binding_substitute_matches_oracle_on_seeded_corpus():
 
 
 def test_substitute_skips_cached_applications_like_oracle():
-    """Applications cache their free variables too, and both walks return
-    an application as it is when its cache says that no substituted name
-    is free in it.  Caches are filled on a few random subterms first, so
-    cached and uncached applications and abstractions meet in one
-    substitution."""
+    """Both walks return an application as it is when no substituted name
+    is free in it, as its set of free variables says."""
     rng = random.Random(1208)
     skipped = 0
     for _ in range(1500):
         t = random_term(rng, rng.randint(1, 30), free_pool=NAMES)
-        for path in rng.sample(positions(t), min(3, len(positions(t)))):
-            free_vars(subterm_at(t, path))
-        cached = [n for n in preorder(t) if isinstance(n, App) and n._fv is not None]
+        apps = [n for n in preorder(t) if isinstance(n, App)]
         x = rng.choice(sorted(oracle.free_vars(t) | {"u"}))
         arg = random_term(rng, rng.randint(1, 8), free_pool=BINDER_POOL)
         out = substitute(t, {x: arg})
@@ -208,7 +196,7 @@ def test_substitute_skips_cached_applications_like_oracle():
         both = substitute(t, {x: arg, "unused": I})
         assert both == out and reused(out, t) == reused(both, t)
         kept = {id(n) for n in preorder(out)}
-        skipped += sum(1 for n in cached if x not in n._fv and id(n) in kept)
+        skipped += sum(1 for n in apps if x not in n._fv and id(n) in kept)
         s = open_substitution(rng, t)
         many = substitute(t, s)
         assert many == oracle.substitute(t, s)
@@ -218,12 +206,11 @@ def test_substitute_skips_cached_applications_like_oracle():
 
 
 def test_one_binding_walk_keeps_the_replacement_free_vars_to_one_call():
-    """The one-binding walk works out the free variables of the replacement
-    at most once per call.  Kept past the call, as in a module-level or
-    default-argument cell, they would be tested against the binders of a
-    later call with another replacement.  In the two-branch term, λy sends
-    its subtree to the simultaneous walk when y is free in the replacement,
-    and its sibling λz then reads the set the same call worked out."""
+    """The one-binding walk tests each binder against the free variables
+    of the replacement of the same call, never of an earlier one.  In the
+    two-branch term, λy sends its subtree to the simultaneous walk when y
+    is free in the replacement, and its sibling λz is tested against the
+    same set."""
     body = Lam("y", App(Var("x"), Var("y")))
     siblings = App(Lam("y", App(Var("x"), Var("y"))), Lam("z", App(Var("x"), Var("z"))))
     for t, name in ((body, "z"), (body, "y"), (siblings, "y"), (siblings, "z")):
@@ -247,6 +234,7 @@ def test_mk_pair_matches_oracle_on_open_terms():
         pair = mk_pair(m, n)
         assert pair == oracle.mk_pair(m, n)
         assert_free_vars_agree(pair)
+        assert_caches_sound(pair)
 
 
 def assert_normalizes_like_oracle(t, fuel):
@@ -320,7 +308,9 @@ def assert_fuel_ladder(t, limit):
             expected = Normal(chain[-1], steps)
         else:
             expected = OutOfFuel(chain[f], f)
-        assert beta_normalize(t, Fuel(f)) == expected
+        out = beta_normalize(t, Fuel(f))
+        assert out == expected
+        assert_caches_sound(out.term)
         if f in (1, top):
             assert oracle.beta_normalize(t, Fuel(f)) == expected
     # The single stepper follows the same chain and stops where it ends.
@@ -392,13 +382,11 @@ def marked_abstractions():
     marked = []
     for n in range(4):
         d = church(n)
-        free_vars(d)
         beta_normalize(d)
         assert d._fv is _BETA_NORMAL
         marked.append(d)
     for n in range(1, 4):
         d = barendregt(n)
-        free_vars(d)
         beta_eta_normalize(d)
         assert d._fv is _BETA_ETA_NORMAL
         marked.append(d)
@@ -473,6 +461,8 @@ def assert_head_ladder(t, limit):
         assert trace.final == expected[-1]
         assert trace.states == expected
         assert trace.states[0] is t
+        for state in trace.states:
+            assert_caches_sound(state)
         assert trace.final is trace.states[-1]
         if f in (1, top):
             old = oracle.head_reduce(t, Fuel(f))
@@ -569,8 +559,8 @@ def lams(names, body):
 
 
 def shared_closed(rng):
-    """A closed abstraction whose cache knows it is closed: a pair, a
-    numeral marked by a reduction, or a term whose cache was filled."""
+    """A closed abstraction: a pair, a numeral marked by a reduction, or a
+    random closed term."""
     roll = rng.random()
     if roll < 0.3:
         return mk_pair(random_closed_term(rng, rng.randint(2, 8)), random_closed_term(rng, 4))
@@ -578,9 +568,7 @@ def shared_closed(rng):
         d = barendregt(rng.randint(0, 4))
         beta_eta_normalize(d)
         return d
-    t = random_closed_term(rng, rng.randint(2, 10))
-    free_vars(t)
-    return t
+    return random_closed_term(rng, rng.randint(2, 10))
 
 
 def assert_alpha_eq_like_oracle(t1, t2):
@@ -620,8 +608,6 @@ def test_alpha_eq_matches_oracle_on_seeded_corpus():
             tally["closed equal"] += 1
     for _ in range(600):
         s = random_term(rng, rng.randint(1, 6), scope=rng.sample(BINDER_POOL, 2))
-        if rng.random() < 0.5:
-            free_vars(s)
         k = rng.randint(1, 3)
         b1 = rng.sample(BINDER_POOL, k)
         b2 = rng.sample(b1, k) if rng.random() < 0.5 else rng.sample(BINDER_POOL, k)
@@ -630,7 +616,6 @@ def test_alpha_eq_matches_oracle_on_seeded_corpus():
     assert min(tally.values()) > 40, tally
     # The two terms of the docstring: K and K* share their body.
     for shared in (Var("x"), Lam("z", Var("x"))):
-        free_vars(lams(["x"], shared))
         assert not alpha_eq(lams(["x", "y"], shared), lams(["y", "x"], shared))
         assert alpha_eq(lams(["x", "y"], shared), lams(["x", "z"], shared))
 
@@ -659,10 +644,10 @@ def test_alpha_eq_is_stack_safe():
 
 
 def test_alpha_eq_takes_a_shared_application_as_equal_only_when_closed():
-    """A shared application whose cache says it is closed is equal without
-    a walk; a shared open one is bound by the binders around it."""
+    """A shared closed application is equal without a walk; a shared open
+    one is bound by the binders around it."""
     s = App(Var("x"), Var("y"))
-    assert free_vars(s) == {"x", "y"} and s._fv is not None
+    assert free_vars(s) == {"x", "y"}
     assert not alpha_eq(lams(["x", "y"], s), lams(["y", "x"], s))
     assert alpha_eq(lams(["x", "y"], s), lams(["y", "x"], App(Var("y"), Var("x"))))
     assert alpha_eq(lams(["x", "y"], s), lams(["z", "w"], App(Var("z"), Var("w"))))
@@ -698,9 +683,9 @@ def test_contract_terms_over_marked_numerals_normalize_like_oracle():
 
 
 def test_a_mark_never_reaches_the_cache_of_a_parent():
-    """free_vars of an application hands up its function's set, which may
-    be a mark; the abstraction above must cache the plain empty set, or
-    its redex would never be contracted."""
+    """An application takes its function's set, which may be a mark; the
+    abstraction above must hold the plain empty set, or its redex would
+    never be contracted."""
     d = barendregt(2)
     beta_eta_normalize(d)
     assert d._fv is _BETA_ETA_NORMAL
@@ -715,15 +700,14 @@ def test_a_mark_never_reaches_the_cache_of_a_parent():
 
 def test_a_mark_never_reaches_the_cache_of_an_application():
     """An application of marked closed normal forms is closed, but it is
-    not a normal form: its cache holds the plain empty set, and so does the
-    cache of an application whose only child with names is a mark."""
+    not a normal form: it holds the plain empty set, and so does an
+    application whose only child with names is a mark."""
     d = barendregt(2)
     e = builtin_system("c").numeral(2)
     beta_eta_normalize(d)
     beta_normalize(e)
     assert d._fv is _BETA_ETA_NORMAL and e._fv is _BETA_NORMAL
     for t in (App(d, e), App(e, d), App(d, d), App(App(d, e), I), App(Var("v"), d)):
-        free_vars(t)
         assert_caches_sound(t)
         assert t._fv is not _BETA_NORMAL and t._fv is not _BETA_ETA_NORMAL
         if not t._fv:
@@ -785,13 +769,11 @@ binder_lists = st.lists(names, max_size=3)
 
 
 @DIFFERENTIAL
-@given(terms, terms, binder_lists, binder_lists, terms, st.booleans())
-def test_alpha_eq_matches_oracle_on_generated_terms(t1, t2, b1, b2, shared, filled):
+@given(terms, terms, binder_lists, binder_lists, terms)
+def test_alpha_eq_matches_oracle_on_generated_terms(t1, t2, b1, b2, shared):
     assert alpha_eq(t1, t2) == oracle_alpha_eq(t1, t2)
     assert alpha_eq(t1, rename_bound(t1, random.Random(0)))
     # One subtree object under two lists of binders, alone and in context.
-    if filled:
-        free_vars(shared)
     assert_alpha_eq_like_oracle(lams(b1, shared), lams(b2, shared))
     assert_alpha_eq_like_oracle(lams(b1, App(t1, shared)), lams(b2, App(t2, shared)))
 
@@ -805,26 +787,27 @@ def test_free_vars_cache_is_invisible():
     assert free_vars(t) is free_vars(t) == {"y"}
     assert t == fresh and hash(t) == hash(fresh)
     assert repr(t) == repr(fresh) == "Lam(binder='x', body=App(fn=Var(name='x'), arg=Var(name='y')))"
-    for filled in (True, False):
-        u = Lam("z", t)
-        if filled:
-            free_vars(u)
-        for clone in (copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
-            assert clone == u
-            assert free_vars(clone) == {"y"}
-    # Applications carry the cache too: filled on t's body above, and on
-    # an application of applications here.
+    u = Lam("z", t)
+    for clone in (copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+        assert clone == u
+        assert free_vars(clone) == {"y"}
+    # Variables and applications carry the set too.
+    v = Var("x")
+    assert free_vars(v) is v._fv is t.body.fn._fv == {"x"}
+    assert repr(v) == "Var(name='x')" and v == Var("x") and hash(v) == hash(Var("x"))
+    for clone in (copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert clone == v and free_vars(clone) == {"x"}
     assert t.body._fv == {"x", "y"}
     a = App(App(Var("x"), t), App(t, Var("z")))
     plain = App(App(Var("x"), fresh), App(fresh, Var("z")))
-    assert free_vars(a) is a._fv == {"x", "y", "z"} and a.fn._fv is not None
+    assert free_vars(a) is a._fv == {"x", "y", "z"} and a.fn._fv == {"x", "y"}
     assert a == plain and hash(a) == hash(plain) and repr(a) == repr(plain)
     assert repr(t.body) == "App(fn=Var(name='x'), arg=Var(name='y'))"
     for clone in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert clone == a and hash(clone) == hash(plain) and repr(clone) == repr(plain)
         assert free_vars(clone) == {"x", "y", "z"}
         assert substitute(clone, {"y": I}) == substitute(plain, {"y": I})
-    # mk_pair fills the cache of the pair it builds.
+    # So does a pair.
     pair = mk_pair(t, Var("x"))
     plain = Lam("x'", App(App(Var("x'"), fresh), Var("x")))
     assert free_vars(pair) == {"x", "y"}

@@ -26,7 +26,7 @@ from numlam import (
     pretty,
     substitute,
 )
-from termgen import FREE_POOL, random_term, rename_bound
+from termgen import FREE_POOL, assert_caches_sound, random_term, rename_bound
 
 
 def test_parse_true_combinator():
@@ -113,8 +113,13 @@ def test_inlining_substitutes_only_the_names_a_body_uses(monkeypatch):
     assert [s for _, s in calls] == [{"K": T}]
 
 def test_parse_program_duplicate_name():
-    with pytest.raises(DuplicateNameError):
+    with pytest.raises(DuplicateNameError) as caught:
         parse_program("a = \\x.x;\na = \\y.y;")
+    assert (caught.value.name, caught.value.position) == ("a", 10)
+    # A name of the base program, after a comment.
+    with pytest.raises(DuplicateNameError) as caught:
+        parse_program("-- again\n  I = x;", Program((("I", I),)))
+    assert (caught.value.name, caught.value.position) == ("I", 11)
 
 
 def test_parse_program_comments_and_blank_lines():
@@ -359,12 +364,16 @@ def assert_parses_like_oracle(text):
     assert new == old, text
     if not isinstance(new, tuple):
         assert pretty(new) == oracle.pretty(old), text
+        assert_caches_sound(new)
 
 
 def assert_program_parses_like_oracle(text):
     new = outcome(parse_program, text)
     old = outcome(oracle.parse_program, text)
     assert new == old, text
+    if isinstance(new, Program):
+        for _, body in new.definitions:
+            assert_caches_sound(body)
 
 
 def test_parse_term_matches_oracle_on_seeded_texts():
@@ -413,10 +422,13 @@ def test_a_character_that_starts_no_token_is_reported_first(parse, text, where):
 
 
 def test_a_character_that_starts_no_token_is_reported_before_a_deep_term_fails():
-    # The pair's component is deeper than the recursion limit of the walk
-    # that takes its free variables.
+    # The terms are deeper than the recursion limit.  Building them walks
+    # nothing, but inlining `a` into the body of `p` substitutes into it,
+    # and that walk recurses.
     depth = sys.getrecursionlimit() + 1000
     text = "<" + "\\x." * depth + "x, y> #"
     assert outcome(parse_term, text) == (ParseError, len(text) - 1, "a term", "#")
     program = "p = " + text[:-2] + "; q = #;"
+    assert outcome(parse_program, program) == (ParseError, len(program) - 2, "a term", "#")
+    program = "a = y; p = " + "\\x." * depth + "a; q = #;"
     assert outcome(parse_program, program) == (ParseError, len(program) - 2, "a term", "#")

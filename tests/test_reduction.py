@@ -172,7 +172,6 @@ def test_eta_rejects_non_beta_normal_input():
     # must not hide the redex from a second call.
     nested = parse_term(r"\x.((\y.y) w) x")
     beside = parse_term(r"v (\x.\y.y x) ((\z.z) w)")
-    free_vars(beside)
     for t in (nested, beside):
         for _ in range(2):
             with pytest.raises(NotBetaNormalError):

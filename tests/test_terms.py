@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -63,6 +64,24 @@ def test_free_vars():
     assert free_vars(probe) == {"nu", "x", "y"}
 
 
+def test_free_vars_is_stack_safe():
+    """free_vars, is_closed and mk_pair read the set each node is built
+    with, so a term deeper than the recursion limit is no harder than a
+    shallow one."""
+    depth = 50_000
+    assert depth > sys.getrecursionlimit()
+    t = Var("y")
+    for _ in range(depth):
+        t = Lam("x", App(t, Var("x")))
+    assert free_vars(t) == {"y"} and not is_closed(t)
+    closed = Lam("y", t)
+    assert free_vars(closed) == frozenset() and is_closed(closed)
+    pair = mk_pair(t, closed)
+    assert pair.binder == "x" and pair.body.fn.arg is t and pair.body.arg is closed
+    assert free_vars(pair) == {"y"} and not is_closed(pair)
+    assert mk_pair(Var("x"), t).binder == "x'"
+
+
 def test_basic_combinators():
     assert I == Lam("x", Var("x"))
     assert T == Lam("x", Lam("y", Var("x")))
@@ -94,14 +113,13 @@ def test_size():
 
 
 def test_terms_are_immutable():
-    """Every field of every node class, the free-variable cache included,
+    """Every field of every node class, the set of free variables included,
     refuses assignment."""
     for node, fields in (
-        (Var("x"), ("name",)),
+        (Var("x"), ("name", "_fv")),
         (Lam("x", Var("x")), ("binder", "body", "_fv")),
         (App(Var("x"), Var("y")), ("fn", "arg", "_fv")),
     ):
-        free_vars(node)
         for name in fields:
             before = getattr(node, name)
             with pytest.raises(dataclasses.FrozenInstanceError):
