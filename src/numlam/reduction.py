@@ -19,6 +19,8 @@ redexes that a search from the root after each step would, in the same
 order, so the step counts and, at every fuel, the partial term are those of
 step-by-step reduction.  `beta_step_normal_order` is one step of that pass.
 The eta pass after it is a post-order walk over an explicit stack.
+Each contraction is one call of the one-binding walk
+`terms.substitute_one(body, binder, arg)`, with no map built for it.
 
 A closed abstraction that a pass returns as normal is marked so in its
 set of free variables (see `terms`): beta-normal by `beta_normalize`,
@@ -45,7 +47,8 @@ from .terms import (
     Term,
     Var,
     _set_lam_fv,
-    substitute,
+    # Under this name so that bench/spans.py can wrap contractions, until counters do.
+    substitute_one as substitute,
 )
 
 
@@ -127,8 +130,8 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     partial term are those of that many single steps.  A normal t comes back as the
     same object; in general, subtrees the reduction leaves unchanged are
     shared with t.  The pass itself does not recurse, so the depth of t is
-    not bounded by the recursion limit; `substitute` still recurses on the
-    body of each redex it contracts.
+    not bounded by the recursion limit; the one-binding walk that contracts
+    each redex recurses on the parts of its body that hold the bound name.
 
     A marked abstraction (see `terms`) is a normal leaf: the pass does not
     go into it, though it still contracts it when it is applied.  A normal
@@ -173,7 +176,7 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
                         t = _state_term(binders, t, spine)
                     return OutOfFuel(t, steps)
                 node, spine = spine
-                head = substitute(head.body, {head.binder: node.arg})
+                head = substitute(head.body, head.binder, node.arg)
                 steps += 1
                 continue
             fv = head._fv
@@ -467,7 +470,7 @@ def head_reduce(t: Term, fuel: Fuel = DEFAULT_FUEL) -> HeadResult:
         if len(steps) == max_steps:
             return HeadResult(HeadTrace(t, steps), False)
         node, spine = spine
-        head = substitute(head.body, {head.binder: node.arg})
+        head = substitute(head.body, head.binder, node.arg)
         steps.append((binders, head, spine))
         binders, head, spine = _unwind(head, binders, spine)
     return HeadResult(HeadTrace(t, steps), True)

@@ -16,8 +16,9 @@ that say its subtree is beta-normal (`_BETA_NORMAL`) or beta-eta-normal
 (`_BETA_ETA_NORMAL`).  The reductions set them on the closed normal forms
 they return and walk past a marked abstraction as a normal leaf.  A mark is
 still the empty set of free variables, so every reader works unchanged; no
-constructor hands a mark up to the parent it builds, and pickle and
-deepcopy keep the very mark objects.
+constructor hands a mark up to the parent it builds.  Pickle and deepcopy
+rebuild a term through the constructors, so a clone holds the tables' sets
+and a marked abstraction's clone the very mark.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ _NAME_SETS: dict[str, frozenset[str]] = {}
 _SETS: dict[frozenset[str], frozenset[str]] = {}
 
 
-# The three node classes keep the frozen dataclass's ==, hash, repr, pickle,
-# deepcopy and FrozenInstanceError, but not its generated __init__, which
+# The three node classes keep the frozen dataclass's ==, hash, repr and
+# FrozenInstanceError, but not its generated __init__, which
 # stores each field through object.__setattr__: a hand-written one stores
 # through the slot descriptors (taken below the classes), about twice as
 # fast, and every substitution and reduction step builds nodes.  Each class
 # has an `_fv` field, its free variables, kept out of ==, hash, repr and
-# __match_args__.
+# __match_args__, and a __reduce__ that rebuilds it through __init__.
 
 @dataclass(frozen=True, slots=True, init=False)
 class Var:
@@ -58,6 +59,9 @@ class Var:
             fv = frozenset((name,))
             fv = _NAME_SETS[name] = _SETS.setdefault(fv, fv)
         _set_var_fv(self, fv)
+
+    def __reduce__(self):
+        return Var, (self.name,)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -77,6 +81,11 @@ class Lam:
         elif not fv:
             fv = _NO_NAMES  # the body's set may be a mark
         _set_lam_fv(self, fv)
+
+    def __reduce__(self):
+        if type(self._fv) is _Mark:
+            return _marked_lam, (self.binder, self.body, self._fv)
+        return Lam, (self.binder, self.body)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -100,6 +109,9 @@ class App:
             fv = a | b
             fv = _SETS.setdefault(fv, fv)
         _set_app_fv(self, fv)
+
+    def __reduce__(self):
+        return App, (self.fn, self.arg)
 
 
 _set_name = Var.name.__set__
@@ -130,6 +142,14 @@ _BETA_NORMAL = _Mark()
 _BETA_NORMAL.name = "_BETA_NORMAL"
 _BETA_ETA_NORMAL = _Mark()
 _BETA_ETA_NORMAL.name = "_BETA_ETA_NORMAL"
+
+
+def _marked_lam(binder: str, body: Term, mark: _Mark) -> Lam:
+    """The abstraction λbinder.body carrying mark: how pickle and deepcopy
+    rebuild a marked abstraction."""
+    node = Lam(binder, body)
+    _set_lam_fv(node, mark)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -273,44 +293,50 @@ def substitute(t: Term, s: Substitution) -> Term:
     Bound variables are renamed (by appending primes) only when a
     replacement would otherwise be captured, so output is deterministic.
     A subtree in which no substituted name is free is shared with the
-    input, without a walk.
-
-    One binding, as in every beta contraction, takes a walk of its own that
-    tests each node's free variables for that one name.  At the first
-    binder that the replacement would be captured by, it hands that subtree
-    to the simultaneous walk, which is then in exactly the state it would
-    have reached there by itself, so both walks give the same terms,
-    binder names and shared nodes.
+    input, without a walk.  One binding goes to `substitute_one`.
     """
     if len(s) == 1:
         ((x, arg),) = s.items()
-        return _one(t, x, arg)
+        return substitute_one(t, x, arg)
     fvs = {k: v._fv for k, v in s.items()}
     return _substitute_many(t, dict(s), fvs, frozenset().union(*fvs.values()))
 
 
-def _one(node: Term, x: str, arg: Term) -> Term:
-    """node[x := arg]."""
+def substitute_one(node: Term, x: str, arg: Term) -> Term:
+    """node[x := arg], the substitution of a beta contraction.
+
+    A walk of its own that calls itself only on the children in whose free
+    variables x is, and puts arg in place of a child that is the variable x
+    without a call.  At the first binder that arg would be captured by, it
+    hands that subtree to the simultaneous walk, which is then in exactly
+    the state it would have reached there by itself, so both walks give the
+    same terms, binder names and shared nodes.
+    """
     if x not in node._fv:
         return node
     # Exact class tests: the hot path, and Var, Lam and App have no
-    # subclasses.
+    # subclasses.  A child with x free that is a Var is Var(x).
     cls = type(node)
-    if cls is Var:
-        return arg
     if cls is App:
-        fn = _one(node.fn, x, arg)
-        a = _one(node.arg, x, arg)
+        fn = node.fn
+        a = node.arg
+        if x in fn._fv:
+            fn = arg if type(fn) is Var else substitute_one(fn, x, arg)
+        if x in a._fv:
+            a = arg if type(a) is Var else substitute_one(a, x, arg)
         if fn is node.fn and a is node.arg:
             return node
         return App(fn, a)
+    if cls is Var:
+        return arg
     b = node.binder
     if b in arg._fv:
         return _substitute_many(node, {x: arg}, {x: arg._fv}, arg._fv)
-    body = _one(node.body, x, arg)
-    if body is node.body:
+    body = node.body
+    new = arg if type(body) is Var else substitute_one(body, x, arg)
+    if new is body:
         return node
-    return Lam(b, body)
+    return Lam(b, new)
 
 
 def _substitute_many(node: Term, m: dict[str, Term], mfvs, mrisk) -> Term:

@@ -68,7 +68,7 @@ from termgen import (
 )
 from numlam.harness import _numerals
 from numlam.numerals import SequenceSpec
-from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL
+from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL, _NO_NAMES, _SETS, substitute_one
 
 # Replacements draw their free names from the binder pool too, so they
 # collide with the binders of the term they go into and force renaming.
@@ -143,12 +143,49 @@ def reused(out, t):
     return [id(node) if id(node) in ids else None for node in preorder(out)]
 
 
+def assert_one_binding_like_oracle(t, x, arg):
+    """substitute_one(t, x, arg), the contraction entry, gives the oracle's
+    result, and reuses the same nodes of t as the oracle, as substitute with
+    the one-entry map and as the simultaneous walk.  Returns its result."""
+    out = substitute_one(t, x, arg)
+    expected = oracle.substitute(t, {x: arg})
+    assert out == expected and reused(out, t) == reused(expected, t)
+    assert_free_vars_agree(out)
+    via_map = substitute(t, {x: arg})
+    assert via_map == out and reused(via_map, t) == reused(out, t)
+    # A second name that occurs nowhere sends the same work through the
+    # simultaneous walk.
+    both = substitute(t, {x: arg, "unused": I})
+    assert both == expected and reused(both, t) == reused(out, t)
+    for term in (t, out, both):
+        assert_caches_sound(term)
+    if x not in oracle.free_vars(t):
+        assert out is t
+    return out
+
+
+def one_binding_shapes(t, x):
+    """The shapes of t's nodes that substitute_one tells apart for x."""
+    shapes = set()
+    for node in preorder(t):
+        if isinstance(node, App) and x in node._fv:
+            in_fn, in_arg = x in node.fn._fv, x in node.arg._fv
+            shapes.add("fn and arg" if in_fn and in_arg else "fn" if in_fn else "arg")
+            if Var(x) in (node.fn, node.arg):
+                shapes.add("Var child")
+        elif isinstance(node, Lam) and node.body == Var(x) != Var(node.binder):
+            shapes.add("Var body")
+    return shapes
+
+
 def test_one_binding_substitute_matches_oracle_on_seeded_corpus():
-    """Every beta contraction substitutes one name.  That takes its own
-    walk, which must give the oracle's result and reuse the same nodes of t
-    as the simultaneous walk."""
+    """Every beta contraction substitutes one name, through substitute_one.
+    That takes its own walk, which must give the oracle's result and reuse
+    the same nodes of t as the simultaneous walk, on every shape it tells
+    apart."""
     rng = random.Random(1207)
-    renamed = untouched = 0
+    renamed = untouched = itself = 0
+    shapes = dict.fromkeys(("fn", "arg", "fn and arg", "Var child", "Var body"), 0)
     for _ in range(2000):
         t = random_term(rng, rng.randint(1, 30), free_pool=NAMES)
         free = sorted(free_vars(t))
@@ -161,24 +198,18 @@ def test_one_binding_substitute_matches_oracle_on_seeded_corpus():
         occurrences = [node for node in preorder(t) if node == Var(x)]
         if occurrences and rng.random() < 0.1:
             arg = rng.choice(occurrences)
-        out = substitute(t, {x: arg})
-        expected = oracle.substitute(t, {x: arg})
-        assert out == expected
-        assert_free_vars_agree(out)
-        # A second name that occurs nowhere sends the same work through the
-        # simultaneous walk.
-        both = substitute(t, {x: arg, "unused": I})
-        assert both == expected
-        assert reused(out, t) == reused(both, t)
-        for term in (t, out, both):
-            assert_caches_sound(term)
+            itself += 1
+        out = assert_one_binding_like_oracle(t, x, arg)
+        for shape in one_binding_shapes(t, x):
+            shapes[shape] += 1
         if x not in oracle.free_vars(t):
-            assert out is t
             untouched += 1
-        elif binders(expected) - binders(t) - binders(arg):
+        elif binders(out) - binders(t) - binders(arg):
             renamed += 1
     assert renamed > 150
     assert untouched > 150
+    assert itself > 50
+    assert min(shapes.values()) > 100, shapes
 
 
 def test_substitute_skips_cached_applications_like_oracle():
@@ -740,11 +771,7 @@ def test_substitute_matches_oracle_on_generated_terms(t, s):
 @DIFFERENTIAL
 @given(terms, names, terms)
 def test_one_binding_substitute_matches_oracle_on_generated_terms(t, x, arg):
-    out = substitute(t, {x: arg})
-    assert out == oracle.substitute(t, {x: arg})
-    assert_free_vars_agree(out)
-    if x not in oracle.free_vars(t):
-        assert out is t
+    assert_one_binding_like_oracle(t, x, arg)
 
 
 @DIFFERENTIAL
@@ -781,6 +808,10 @@ def test_alpha_eq_matches_oracle_on_generated_terms(t1, t2, b1, b2, shared):
 # ---------------------------------------------------------------------------
 # The cache itself
 
+def clones(t):
+    return copy.deepcopy(t), pickle.loads(pickle.dumps(t)), copy.copy(t)
+
+
 def test_free_vars_cache_is_invisible():
     t = Lam("x", App(Var("x"), Var("y")))
     fresh = Lam("x", App(Var("x"), Var("y")))
@@ -788,33 +819,48 @@ def test_free_vars_cache_is_invisible():
     assert t == fresh and hash(t) == hash(fresh)
     assert repr(t) == repr(fresh) == "Lam(binder='x', body=App(fn=Var(name='x'), arg=Var(name='y')))"
     u = Lam("z", t)
-    for clone in (copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+    for clone in clones(u):
         assert clone == u
         assert free_vars(clone) == {"y"}
+        assert _SETS.get(clone._fv) is clone._fv is u._fv
     # Variables and applications carry the set too.
     v = Var("x")
     assert free_vars(v) is v._fv is t.body.fn._fv == {"x"}
     assert repr(v) == "Var(name='x')" and v == Var("x") and hash(v) == hash(Var("x"))
-    for clone in (copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+    for clone in clones(v):
         assert clone == v and free_vars(clone) == {"x"}
+        assert _SETS.get(clone._fv) is clone._fv is v._fv
     assert t.body._fv == {"x", "y"}
     a = App(App(Var("x"), t), App(t, Var("z")))
     plain = App(App(Var("x"), fresh), App(fresh, Var("z")))
     assert free_vars(a) is a._fv == {"x", "y", "z"} and a.fn._fv == {"x", "y"}
     assert a == plain and hash(a) == hash(plain) and repr(a) == repr(plain)
     assert repr(t.body) == "App(fn=Var(name='x'), arg=Var(name='y'))"
-    for clone in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+    for clone in clones(a):
         assert clone == a and hash(clone) == hash(plain) and repr(clone) == repr(plain)
         assert free_vars(clone) == {"x", "y", "z"}
+        assert _SETS.get(clone._fv) is clone._fv is a._fv
+        assert clone.fn._fv is a.fn._fv and clone.arg._fv is a.arg._fv
         assert substitute(clone, {"y": I}) == substitute(plain, {"y": I})
     # So does a pair.
     pair = mk_pair(t, Var("x"))
     plain = Lam("x'", App(App(Var("x'"), fresh), Var("x")))
     assert free_vars(pair) == {"x", "y"}
     assert pair == plain and hash(pair) == hash(plain) and repr(pair) == repr(plain)
-    for clone in (copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+    for clone in clones(pair):
         assert clone == pair
         assert free_vars(clone) == {"x", "y"}
+        assert _SETS.get(clone._fv) is clone._fv is pair._fv
+    # A clone of a closed abstraction that no reduction has marked holds
+    # the shared empty set, so a reduction marks it as it marks the
+    # original.
+    two = parse_term(r"\f.\x.f (f x)")
+    for clone in clones(two):
+        assert clone == two and clone._fv is _NO_NAMES
+        assert beta_normalize(clone).term is clone and clone._fv is _BETA_NORMAL
+    for clone in clones(barendregt(3)):
+        assert clone._fv is _NO_NAMES
+        assert beta_eta_normalize(clone).term is clone and clone._fv is _BETA_ETA_NORMAL
     # A closed normal form a reduction returned is marked in the same slot:
     # beta-eta-normal for a barendregt numeral, only beta-normal for a c
     # numeral over the Church sequence, whose e_1 = \f.\x.f x has an
@@ -825,7 +871,7 @@ def test_free_vars_cache_is_invisible():
     assert beta_normalize(e).term is e and e._fv is _BETA_NORMAL
     for marked, plain in ((d, barendregt(3)), (e, builtin_system("c").numeral(2))):
         assert marked == plain and hash(marked) == hash(plain) and repr(marked) == repr(plain)
-        for clone in (copy.deepcopy(marked), pickle.loads(pickle.dumps(marked))):
+        for clone in clones(marked):
             assert clone == marked and hash(clone) == hash(marked) and repr(clone) == repr(marked)
             assert clone._fv is marked._fv
             assert free_vars(clone) == frozenset()

@@ -23,6 +23,7 @@ from numlam import (
     beta_step_normal_order,
     builtin_system,
     church,
+    church_k_term,
     eta_normalize,
     free_vars,
     head_redex,
@@ -37,6 +38,7 @@ from numlam import (
     substitute,
     tilde_numeral,
 )
+from numlam import reduction
 from numlam.terms import _BETA_ETA_NORMAL
 from termgen import beta_expand, random_closed_term, random_hnf, random_term
 
@@ -261,6 +263,31 @@ def test_solvable():
     assert solvable(I) == 0
     assert solvable(OMEGA, Fuel(100)) is None
     assert solvable(parse_term("Z x y")) == 0
+
+
+def test_each_step_is_one_call_of_the_name_the_benchmark_wraps(monkeypatch):
+    """bench/spans.py counts and times contractions by wrapping
+    `numlam.reduction.substitute`: each beta step of `beta_normalize` and
+    each head step of `head_reduce` must be exactly one call of it."""
+    calls = []
+    contract = reduction.substitute
+
+    def counting(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(reduction, "substitute", counting)
+    cases = (
+        app(church_k_term(), church(3), church(2)),
+        app(builtin_system("church").predecessor, church(5)),
+    )
+    for t in cases:
+        calls.clear()
+        out = beta_normalize(t)
+        assert out.steps > 10 and len(calls) == out.steps
+    calls.clear()
+    result = head_reduce(parse_term(r"(\x.x x x)(\x.x x x)"), Fuel(1000))
+    assert not result.reached_hnf and result.trace.length == 1000 == len(calls)
 
 
 # ---------------------------------------------------------------------------
