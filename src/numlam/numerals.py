@@ -17,7 +17,7 @@ from typing import Callable
 
 from .report import CheckReport, eq_case
 from .reduction import DEFAULT_FUEL, Fuel
-from .terms import App, F, I, Lam, T, Term, Var, app, lam, mk_pair, mk_tuple
+from .terms import App, F, I, Lam, T, Term, Var, app, lam, mk_pair
 
 
 class UnknownSystemError(ValueError):
@@ -119,9 +119,28 @@ def tilde_numeral(n: int) -> Term:
     return Lam("x", body)
 
 
+def _church_step(n: int, cn: Term) -> Term:
+    """church(n+1) around the body of church(n)."""
+    return Lam("f", Lam("x", App(Var("f"), cn.body.body)))
+
+
+# (n, e_n) -> e_{n+1} for the element functions whose e_{n+1} holds e_n or
+# its body, so that a sequence of them is built in O(1) pairs a step.
+_ELEMENT_STEPS: dict[Callable[[int], Term], Callable[[int, Term], Term]] = {
+    church: _church_step,
+    barendregt: _barendregt_step,
+}
+
+
 def _c_step(e: SequenceSpec) -> Callable[[int, Term], Term]:
+    """(n, d_n) -> d_{n+1} = ⟨d_n, e_{n+1}⟩.  Where e's element function has
+    a step, e_{n+1} grows from e_n, d_n's second component."""
+    element_step = _ELEMENT_STEPS.get(e.element)
+
     def step(n: int, dn: Term) -> Term:
-        return mk_pair(dn, e.element(n + 1))
+        if n == 0 or element_step is None:
+            return mk_pair(dn, e.element(n + 1))
+        return mk_pair(dn, element_step(n, dn.body.arg))
 
     return step
 
@@ -256,11 +275,18 @@ def builtin_system(name: str, sequence: SequenceSpec | None = None) -> NumeralSy
 
 def is_generator(a: Term, u: SequenceSpec, upto: int, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
     """Check (A I) against U_1 and (A ⟨U_1,…,U_n⟩) against U_{n+1} for every
-    1 ≤ n < upto."""
+    1 ≤ n < upto.
+
+    The tuple ⟨U_1,…,U_n⟩ is the numeral d_n of c over u, so each tuple and
+    element comes from the one before by c's step: U_{n+1} is the second
+    component of d_{n+1}."""
     if upto < 1:
         raise ValueError("upto must be at least 1")
-    elements = [u.element(i) for i in range(1, upto + 1)]
-    cases = [eq_case("base", App(a, I), elements[0], fuel)]
-    for n in range(1, upto):
-        cases.append(eq_case(f"n={n}", App(a, mk_tuple(elements[:n])), elements[n], fuel))
+    step = _c_step(u)
+    cases = []
+    t: Term = I
+    for n in range(upto):
+        nxt = step(n, t)
+        cases.append(eq_case(f"n={n}" if n else "base", App(a, t), nxt.body.arg, fuel))
+        t = nxt
     return CheckReport(f"generator for {u.name}", tuple(cases))

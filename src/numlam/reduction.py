@@ -24,10 +24,15 @@ Each contraction is one call of the one-binding walk
 
 A closed abstraction that a pass returns as normal is marked so in its
 set of free variables (see `terms`): beta-normal by `beta_normalize`,
-beta-eta-normal by the eta pass.  Every pass and scan here takes a marked
-abstraction as a normal leaf and does not walk into it, so a numeral that
-one check has normalized costs the next check nothing, and neither do the
-marked numerals nested inside a new one.
+beta-eta-normal by the eta pass.  When the eta pass contracts inside a
+closed abstraction, it leaves there the third mark, an `_EtaForm` that
+holds the eta-normal form and the contraction count.  Every pass and scan
+here takes a marked abstraction as a normal leaf and does not walk into it:
+the eta pass puts in the stored form and adds the stored count.  So a
+numeral that one check has normalized costs the next check nothing, and
+neither do the marked numerals nested inside a new one.  The beta pass
+also notes whether its normal form may hold an eta-redex, and when it
+cannot, `beta_eta_normalize` makes no eta pass.
 
 `head_reduce` records each step as its machine state, and its trace builds
 the terms of the states only when they are read.  `head_step`, `head_redex`
@@ -42,6 +47,7 @@ from .terms import (
     _BETA_ETA_NORMAL,
     _BETA_NORMAL,
     _NO_NAMES,
+    _EtaForm,
     App,
     Lam,
     Term,
@@ -148,7 +154,15 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     are kept on a stack of levels; a finished argument is put back into its
     application, which is reused when nothing in it changed.
     """
+    return _beta_pass(t, fuel)[0]
+
+
+def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
+    """`beta_normalize`, and whether its normal form may hold an eta-redex:
+    False only when no abstraction the pass closed is an eta-redex and
+    every marked leaf it passed is marked beta-eta-normal."""
     max_steps = fuel.max_steps
+    maybe_eta = False
     steps = 0
     # The waiting machines, outermost first: (binders, fn, spine) waits for
     # the normal form of spine[0].arg; fn is the normal form of what spine[0]
@@ -174,16 +188,19 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
                         node, spine = spine
                         t = node if fn is node.fn and t is node.arg else App(fn, t)
                         t = _state_term(binders, t, spine)
-                    return OutOfFuel(t, steps)
+                    return OutOfFuel(t, steps), True
                 node, spine = spine
                 head = substitute(head.body, head.binder, node.arg)
                 steps += 1
                 continue
             fv = head._fv
-            if fv is not _BETA_NORMAL and fv is not _BETA_ETA_NORMAL:
+            # A plain set is no mark: every mark is of a subclass.
+            if type(fv) is frozenset:
                 binders = (head, binders)
                 head = head.body
                 continue
+            if fv is not _BETA_ETA_NORMAL:
+                maybe_eta = True
         elif spine is not None:
             # Head normal form: normalize the first argument.
             levels.append((binders, head, spine))
@@ -195,11 +212,19 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
         while True:
             while binders is not None:
                 lam, binders = binders
-                head = lam if head is lam.body else Lam(lam.binder, head)
+                x = lam.binder
+                if (
+                    type(head) is App
+                    and type(head.arg) is Var
+                    and head.arg.name == x
+                    and x not in head.fn._fv
+                ):
+                    maybe_eta = True
+                head = lam if head is lam.body else Lam(x, head)
             if not levels:
                 if type(head) is Lam and head._fv is _NO_NAMES:
                     _set_lam_fv(head, _BETA_NORMAL)
-                return Normal(head, steps)
+                return Normal(head, steps), maybe_eta
             binders, fn, spine = levels.pop()
             node, spine = spine
             head = node if fn is node.fn and head is node.arg else App(fn, head)
@@ -227,8 +252,8 @@ def beta_step_normal_order(t: Term) -> Term | None:
 def _is_eta_redex(binder: str, body: Term) -> bool:
     """True iff λbinder.body is an eta-redex λx.(M x) with x not free in M."""
     return (
-        isinstance(body, App)
-        and isinstance(body.arg, Var)
+        type(body) is App
+        and type(body.arg) is Var
         and body.arg.name == binder
         and binder not in body.fn._fv
     )
@@ -249,9 +274,12 @@ def _eta(t: Term) -> tuple[Term, int]:
     bounded by the recursion limit: each node is visited, then its
     children, then it is rebuilt from their results, which wait on a
     second stack.  An abstraction marked beta-eta-normal is a leaf, and a
-    closed one that comes back unchanged is marked so.  The walk visits
-    every application outside such a leaf, so it meets every beta-redex;
-    a mark set before it raises is on a subtree it has walked in full."""
+    closed one that comes back unchanged is marked so.  A closed one that
+    comes back changed keeps its eta-normal form and the contractions made
+    inside it in an `_EtaForm` mark, and is a leaf from then on: the walk
+    puts in the form and adds the count.  The walk visits every application
+    outside such leaves, so it meets every beta-redex; a mark set before it
+    raises is on a subtree it has walked in full."""
     # Most normal forms have no eta-redex, and finding that out takes one
     # scan that rebuilds nothing.
     if is_beta_eta_normal(t):
@@ -264,28 +292,45 @@ def _eta(t: Term) -> tuple[Term, int]:
         node = stack.pop()
         if node is _REBUILD:
             node = stack.pop()
-            if isinstance(node, App):
+            if type(node) is App:
                 arg = done.pop()
                 fn = done.pop()
                 done.append(node if fn is node.fn and arg is node.arg else App(fn, arg))
                 continue
             body = done.pop()
+            # Below a closed abstraction lies the count at which it was
+            # entered.  Its set is the one it had then: only the node
+            # itself is marked here, and it is not inside its own body.
+            entered = stack.pop() if not node._fv else None
             if _is_eta_redex(node.binder, body):
-                done.append(body.fn)
+                new = body.fn
                 contracted += 1
             elif body is node.body:
                 _mark_beta_eta_normal(node)
                 done.append(node)
+                continue
             else:
-                done.append(Lam(node.binder, body))
-        elif isinstance(node, App):
-            if isinstance(node.fn, Lam):
+                new = Lam(node.binder, body)
+            if entered is not None:
+                _set_lam_fv(node, _EtaForm(new, contracted - entered))
+            done.append(new)
+        elif type(node) is App:
+            if type(node.fn) is Lam:
                 raise NotBetaNormalError("input contains a beta-redex")
             stack += (node, _REBUILD, node.arg, node.fn)
-        elif isinstance(node, Var) or node._fv is _BETA_ETA_NORMAL:
+        elif type(node) is Var:
             done.append(node)
         else:
-            stack += (node, _REBUILD, node.body)
+            fv = node._fv
+            if fv is _BETA_ETA_NORMAL:
+                done.append(node)
+            elif type(fv) is _EtaForm:
+                done.append(fv.form)
+                contracted += fv.eta_steps
+            elif fv:
+                stack += (node, _REBUILD, node.body)
+            else:
+                stack += (contracted, node, _REBUILD, node.body)
     return done[0], contracted
 
 
@@ -306,8 +351,14 @@ def eta_normalize(t: Term) -> Term:
 
 
 def beta_eta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
-    out = beta_normalize(t, fuel)
-    if isinstance(out, OutOfFuel):
+    """Beta-normalize t, then contract its eta-redexes.  When the beta pass
+    saw that its normal form holds no eta-redex, there is no eta pass: a
+    closed normal form is marked beta-eta-normal, as the eta pass would."""
+    out, maybe_eta = _beta_pass(t, fuel)
+    if type(out) is OutOfFuel:
+        return out
+    if not maybe_eta:
+        _mark_beta_eta_normal(out.term)
         return out
     term, eta_steps = _eta(out.term)
     return Normal(term, out.steps, eta_steps)
@@ -318,14 +369,16 @@ def is_beta_eta_normal(t: Term) -> bool:
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, Lam):
-            if node._fv is _BETA_ETA_NORMAL:
+        cls = type(node)
+        if cls is Lam:
+            fv = node._fv
+            if fv is _BETA_ETA_NORMAL:
                 continue
-            if _is_eta_redex(node.binder, node.body):
+            if type(fv) is _EtaForm or _is_eta_redex(node.binder, node.body):
                 return False
             stack.append(node.body)
-        elif isinstance(node, App):
-            if isinstance(node.fn, Lam):
+        elif cls is App:
+            if type(node.fn) is Lam:
                 return False
             stack.append(node.fn)
             stack.append(node.arg)
@@ -436,7 +489,7 @@ def head_redex(t: Term) -> Term | None:
     """The head redex (λx.U V) of t, or None when t is in head normal form
     λx1…λxn.(x V1…Vm)."""
     _, head, spine = _unwind(t, None, None)
-    return spine[0] if isinstance(head, Lam) else None
+    return spine[0] if type(head) is Lam else None
 
 
 def is_head_normal_form(t: Term) -> bool:

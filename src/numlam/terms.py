@@ -11,14 +11,16 @@ set takes no part in equality, hashing or `repr`.  Equal sets are one
 object: a table in this module keeps each name's one-name set and each
 non-empty set that a node holds.
 
-The set of a closed abstraction may also be one of two marks, empty sets
-that say its subtree is beta-normal (`_BETA_NORMAL`) or beta-eta-normal
-(`_BETA_ETA_NORMAL`).  The reductions set them on the closed normal forms
-they return and walk past a marked abstraction as a normal leaf.  A mark is
-still the empty set of free variables, so every reader works unchanged; no
-constructor hands a mark up to the parent it builds.  Pickle and deepcopy
-rebuild a term through the constructors, so a clone holds the tables' sets
-and a marked abstraction's clone the very mark.
+The set of a closed abstraction may also be a mark, an empty set that says
+what a reduction found out about its subtree: beta-normal (`_BETA_NORMAL`),
+beta-eta-normal (`_BETA_ETA_NORMAL`), or beta-normal with the eta-normal form
+and eta step count an `_EtaForm` holds.  The reductions set them on the
+closed normal forms they meet and walk past a marked abstraction as a normal
+leaf.  A mark is still the empty set of free variables, so every reader
+works unchanged; no constructor hands a mark up to the parent it builds.
+Pickle and deepcopy rebuild a term through the constructors, so a clone
+holds the tables' sets, the clone of an abstraction marked normal the very
+mark, and that of one holding an `_EtaForm` the plain empty set.
 """
 
 from __future__ import annotations
@@ -144,6 +146,21 @@ _BETA_ETA_NORMAL = _Mark()
 _BETA_ETA_NORMAL.name = "_BETA_ETA_NORMAL"
 
 
+class _EtaForm(frozenset):
+    """The empty set of free variables of a closed beta-normal abstraction
+    that is not eta-normal: it holds the eta-normal form and the number of
+    eta contractions that reach it.  One per abstraction, set by the eta
+    pass; a clone does not keep it."""
+
+    __slots__ = ("form", "eta_steps")
+
+    def __new__(cls, form: Term, eta_steps: int) -> "_EtaForm":
+        mark = frozenset.__new__(cls)
+        mark.form = form
+        mark.eta_steps = eta_steps
+        return mark
+
+
 def _marked_lam(binder: str, body: Term, mark: _Mark) -> Lam:
     """The abstraction λbinder.body carrying mark: how pickle and deepcopy
     rebuild a marked abstraction."""
@@ -210,9 +227,10 @@ def size(t: Term) -> int:
     while stack:
         node = stack.pop()
         total += 1
-        if isinstance(node, Lam):
+        cls = type(node)
+        if cls is Lam:
             stack.append(node.body)
-        elif isinstance(node, App):
+        elif cls is App:
             stack.append(node.fn)
             stack.append(node.arg)
     return total

@@ -6,7 +6,7 @@ import random
 
 import oracle
 from numlam import App, Lam, Term, Var, free_vars
-from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL, _NO_NAMES, _SETS
+from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL, _NO_NAMES, _SETS, _EtaForm
 
 BINDER_POOL = ("x", "y", "z", "f", "g", "x'", "_v1")
 FREE_POOL = ("u", "v", "w")
@@ -150,6 +150,23 @@ def beta_expand(t: Term, rng: random.Random, steps: int) -> Term:
     return t
 
 
+def eta_expand(t: Term, rng: random.Random, steps: int) -> Term:
+    """Wrap random subterms S as λv.(S v) with v fresh for S, so each wrap
+    adds one eta-redex."""
+    counter = [0]
+    for _ in range(steps):
+        path = rng.choice(positions(t))
+        sub = subterm_at(t, path)
+        fvs = free_vars(sub)
+        while True:
+            name = f"h{counter[0]}"
+            counter[0] += 1
+            if name not in fvs:
+                break
+        t = replace_at(t, path, Lam(name, App(sub, Var(name))))
+    return t
+
+
 def random_spine_term(rng: random.Random, marked: tuple, depth: int = 2, scope=()) -> Term:
     """A random λb1…λbk.(h V1 … Vm) for the normal-order machine: the head h
     is a variable, an abstraction or one of the `marked` closed normal
@@ -188,9 +205,12 @@ def random_spine_term(rng: random.Random, marked: tuple, depth: int = 2, scope=(
 def assert_caches_sound(t: Term) -> None:
     """Every node of t, variables included, holds in `_fv` the free
     variables of its subtree as tests/oracle.py works them out; a mark sits
-    only on a closed abstraction; an empty set is otherwise the shared empty
-    set; and a non-empty one is the one object the table of sets keeps for
-    it, so equal sets on two nodes are the same object."""
+    only on a closed abstraction, and says of it what tests/oracle.py finds:
+    beta-normal, beta-eta-normal, or beta-normal with the eta-normal form
+    and the eta step count an `_EtaForm` holds, whose form is checked as a
+    term too; an empty set is otherwise the shared empty set; and a
+    non-empty one is the one object the table of sets keeps for it, so
+    equal sets on two nodes are the same object."""
     assert _NO_NAMES not in _SETS
     seen: set[int] = set()
     stack = [t]
@@ -205,9 +225,20 @@ def assert_caches_sound(t: Term) -> None:
         elif isinstance(node, App):
             stack += (node.fn, node.arg)
         assert set(fv) == oracle.free_vars(node), node
-        if fv is _BETA_NORMAL or fv is _BETA_ETA_NORMAL:
-            assert isinstance(node, Lam), node
-        elif not fv:
-            assert fv is _NO_NAMES, node
+        if type(fv) is frozenset:
+            if not fv:
+                assert fv is _NO_NAMES, node
+            else:
+                assert _SETS.get(fv) is fv, node
+            continue
+        assert type(node) is Lam and not fv, node
+        assert oracle.beta_step_normal_order(node) is None, node
+        if fv is _BETA_ETA_NORMAL:
+            assert oracle.is_beta_eta_normal(node), node
+        elif type(fv) is _EtaForm:
+            expected = oracle.beta_eta_normalize(node)
+            assert expected.steps == 0 and expected.eta_steps > 0, node
+            assert fv.form == expected.term and fv.eta_steps == expected.eta_steps, node
+            stack.append(fv.form)
         else:
-            assert _SETS.get(fv) is fv, node
+            assert fv is _BETA_NORMAL, node

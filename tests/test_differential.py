@@ -17,6 +17,7 @@ contract and `k` terms and hypothesis strategies.
 import copy
 import pickle
 import random
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -40,6 +41,7 @@ from numlam import (
     builtin_system,
     church,
     church_k_term,
+    eta_normalize,
     free_vars,
     head_redex,
     head_reduce,
@@ -56,6 +58,7 @@ from termgen import (
     FREE_POOL,
     assert_caches_sound,
     beta_expand,
+    eta_expand,
     oracle_alpha_eq,
     positions,
     random_closed_term,
@@ -66,9 +69,10 @@ from termgen import (
     replace_at,
     subterm_at,
 )
+from numlam import reduction
 from numlam.harness import _numerals
 from numlam.numerals import SequenceSpec
-from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL, _NO_NAMES, _SETS, substitute_one
+from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL, _NO_NAMES, _SETS, _EtaForm, substitute_one
 
 # Replacements draw their free names from the binder pool too, so they
 # collide with the binders of the term they go into and force renaming.
@@ -744,6 +748,116 @@ def test_a_mark_never_reaches_the_cache_of_an_application():
         if not t._fv:
             out = beta_normalize(t)
             assert out.steps > 0 and out == oracle.beta_normalize(t)
+
+
+def nodes_built(fn, *args):
+    """fn(*args), and how many Var, Lam and App nodes it built."""
+    inits = {Var.__init__.__code__, Lam.__init__.__code__, App.__init__.__code__}
+    built = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in inits:
+            built.append(frame.f_code)
+
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, len(built)
+
+
+def test_remembered_eta_forms_give_the_oracle_answers():
+    """A closed abstraction that the eta pass changes keeps its eta-normal
+    form and count in its mark, and a second normalization of the same
+    object reads them from there.  Both answers must be the oracle's: the
+    term, the beta steps and the eta steps.  The objects are closed terms
+    with eta-redexes, their beta-normal forms, and the c[church] numerals
+    d_0 to d_30, each of which but d_0 holds the eta-redex e_1."""
+    rng = random.Random(1215)
+    fuel = Fuel(200)
+    objects = []
+    while len(objects) < 300:
+        t = eta_expand(random_closed_term(rng, rng.randint(2, 14)), rng, rng.randint(1, 3))
+        expected = oracle.beta_eta_normalize(t, fuel)
+        if isinstance(expected, Normal) and expected.eta_steps:
+            normal = oracle.beta_normalize(t, fuel).term
+            objects += ((t, expected), (normal, Normal(expected.term, 0, expected.eta_steps)))
+    for d in _numerals(builtin_system("c"), 31):
+        objects.append((d, oracle.beta_eta_normalize(d)))
+    remembered = 0
+    for t, expected in objects:
+        first = beta_eta_normalize(t, fuel)
+        assert first == expected
+        if type(t._fv) is _EtaForm:
+            remembered += 1
+            assert t._fv.form is first.term
+        second = beta_eta_normalize(t, fuel)
+        assert second == expected
+        if type(t._fv) is _EtaForm:
+            assert second.term is first.term
+        assert_caches_sound(t)
+        assert_caches_sound(second.term)
+    assert remembered >= 180
+
+
+def test_a_remembered_eta_form_rebuilds_nothing():
+    d = list(_numerals(builtin_system("c"), 31))[30]
+    first = beta_eta_normalize(d)
+    assert type(d._fv) is _EtaForm and first.eta_steps == 1
+    second, built = nodes_built(beta_eta_normalize, d)
+    assert built == 0 and second.term is first.term and second == first
+    # The eta pass alone reads the form too, and so does the next numeral's.
+    assert nodes_built(eta_normalize, d) == (first.term, 0)
+    e = builtin_system("c")._step(30, d)
+    out, built = nodes_built(beta_eta_normalize, e)
+    assert out == oracle.beta_eta_normalize(e) and out.term.body.fn.arg is first.term
+    assert is_beta_eta_normal(first.term) and not is_beta_eta_normal(d)
+
+
+def test_a_clone_of_a_remembered_eta_form_is_a_plain_abstraction():
+    d = builtin_system("c").numeral(3)
+    out = beta_eta_normalize(d)
+    assert type(d._fv) is _EtaForm
+    for clone in clones(d):
+        assert clone == d and hash(clone) == hash(d) and repr(clone) == repr(d)
+        assert clone._fv is _NO_NAMES
+        assert_caches_sound(clone)
+        assert beta_eta_normalize(clone) == out == oracle.beta_eta_normalize(clone)
+        assert type(clone._fv) is _EtaForm
+        assert_caches_sound(clone)
+
+
+def test_a_clean_beta_pass_skips_the_eta_pass(monkeypatch):
+    """When the beta pass meets no eta-redex and no leaf that may hold one,
+    there is no eta pass, and the closed normal form is marked
+    beta-eta-normal as the eta pass would mark it.  A leaf marked only
+    beta-normal may hold an eta-redex, and so may one that remembers its
+    eta form: then the eta pass runs."""
+    eta_pass = reduction._eta
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return eta_pass(t)
+
+    monkeypatch.setattr(reduction, "_eta", counted)
+    t = parse_term(r"(\n.\f.\x.f (n f x)) (\f.\x.f (f x))")
+    out = beta_eta_normalize(t)
+    assert out == oracle.beta_eta_normalize(t) and out.term._fv is _BETA_ETA_NORMAL
+    assert calls == []
+    two = church(2)
+    beta_normalize(two)
+    assert two._fv is _BETA_NORMAL
+    assert beta_eta_normalize(App(I, two)) == Normal(two, 1, 0)
+    assert calls == [two] and two._fv is _BETA_ETA_NORMAL
+    one = church(1)
+    t = parse_term(r"\g.(\y.y) (\x.g x)")
+    for _ in range(2):
+        assert beta_eta_normalize(App(I, one)) == Normal(Lam("f", Var("f")), 1, 1)
+        assert type(one._fv) is _EtaForm
+        assert beta_eta_normalize(t) == oracle.beta_eta_normalize(t)
+    assert len(calls) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,12 @@ from numlam import (
     is_generator,
     lam,
     mk_pair,
+    mk_tuple,
     parse_term,
     tilde_numeral,
 )
 from numlam.harness import _numerals
+from numlam.report import CheckReport, eq_case
 
 ALL_SYSTEMS = ["church", "barendregt", "a", "b", "bprime", "tilde", "c"]
 
@@ -180,6 +182,21 @@ def test_is_generator_accepts_crafted_generator():
     assert len(report.cases) == 6
 
 
+@pytest.mark.parametrize("upto", [6, 30])
+def test_is_generator_reports_as_with_tuples_built_afresh(upto):
+    """is_generator steps each tuple and element from the one before; its
+    report must be the one it gave when it built the elements afresh and
+    each tuple by mk_tuple."""
+    a = _church_generator()
+    elements = [church(i) for i in range(1, upto + 1)]
+    cases = [eq_case("base", App(a, I), elements[0])]
+    for n in range(1, upto):
+        cases.append(eq_case(f"n={n}", App(a, mk_tuple(elements[:n])), elements[n]))
+    expected = CheckReport("generator for church", tuple(cases)).to_dict()
+    assert expected["overall"] == "pass"
+    assert is_generator(a, CHURCH_SEQUENCE, upto).to_dict() == expected
+
+
 def test_is_generator_rejects_identity():
     # needs a sequence whose first element differs from I: church(1)
     # eta-normalizes to λf.f, so the barendregt sequence is used instead
@@ -212,15 +229,35 @@ STEPPED_SYSTEMS = {
 @pytest.mark.parametrize("name", sorted(STEPPED_SYSTEMS))
 def test_stepped_numerals_equal_random_access(name):
     """The checks build the numerals of these systems in order, each by the
-    system's step around the very numeral before it.  Each must be == to
-    `numeral(n)`: at every n < 200 for barendregt, and for c, whose numerals
-    each cost O(n^2) to build afresh, at n < 30 and at n = 199, which holds
-    every stepped numeral before it nested inside."""
+    system's step around the very numeral before it, and c grows each
+    element e_{n+1} from e_n, the second component of d_n: ⟨F, e_n⟩ holds
+    e_n itself, and a Church element holds the body of the one before.
+    Each numeral must be == to `numeral(n)`, at every n < 200."""
     system = STEPPED_SYSTEMS[name]
     stepped = list(_numerals(system, 200))
     for n in range(1, 200):
         body = stepped[n].body
         assert stepped[n - 1] is (body.arg if name == "barendregt" else body.fn.arg)
-    checked = range(200) if name == "barendregt" else [*range(30), 199]
-    for n in checked:
+        if name != "barendregt" and n > 1:
+            element, before = body.arg, stepped[n - 1].body.arg
+            if name == "c[barendregt]":
+                assert element.body.arg is before
+            else:
+                assert element.body.body.arg is before.body.body
+    for n in range(200):
         assert stepped[n] == system.numeral(n)
+
+
+def test_a_sequence_with_no_step_builds_each_element():
+    """An element function with no step of its own is called for each
+    index, and gives the same numerals."""
+    calls = []
+
+    def element(n):
+        calls.append(n)
+        return church(n)
+
+    system = builtin_system("c", SequenceSpec("church", element))
+    numerals = list(_numerals(system, 6))
+    assert calls == [1, 2, 3, 4, 5]
+    assert numerals == [c_numeral(n, CHURCH_SEQUENCE) for n in range(6)]
