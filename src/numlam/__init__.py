@@ -14,7 +14,6 @@ from .terms import (
     is_closed,
     lam,
     mk_pair,
-    mk_tuple,
     size,
     substitute,
 )
@@ -34,14 +33,9 @@ from .reduction import (
     OutOfFuel,
     beta_eta_normalize,
     beta_normalize,
-    beta_step_normal_order,
     eta_normalize,
-    head_redex,
     head_reduce,
-    head_step,
     is_beta_eta_normal,
-    is_head_normal_form,
-    solvable,
 )
 from .report import CheckCase, CheckReport, beta_eta_eq, eq_case
 from .numerals import (

@@ -5,7 +5,8 @@ diagnostics to stderr.  Exit codes: 0 success/pass (and --help), 1 failure or
 bad input (a usage error, a negative --upto, or a term that nests too deep for
 the engine's recursive walks, each with a one-line message), 2 out of fuel,
 3 inconclusive (fuel ran out inside a check, the check had no cases, or the
-requested combinator is absent).
+requested combinator is absent).  `eq` exits 0 on Equal, 1 on Distinct and 3
+on Unknown.
 """
 
 from __future__ import annotations
@@ -264,9 +265,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fuel", type=int, default=1_000_000,
+    fueled = argparse.ArgumentParser(add_help=False)
+    fueled.add_argument("--fuel", type=int, default=1_000_000,
                         help="maximum beta steps per reduction (default 1000000)")
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
 
     terms = argparse.ArgumentParser(add_help=False)
@@ -281,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common, terms],
+    p = sub.add_parser("eval", parents=[fueled, common, terms],
                        help="beta-eta-normalize a term")
     p.add_argument("term")
     p.set_defaults(run=cmd_eval)
@@ -292,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(run=cmd_numeral)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[fueled, common],
                        help="run the combinator contracts of a built-in system")
     p.add_argument("system", metavar="{" + ",".join(SYSTEM_NAMES) + "}")
     p.add_argument("which", choices=("all",) + _CHECKS)
@@ -300,20 +302,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="check indices below this bound (default 50)")
     p.set_defaults(run=cmd_check)
 
-    p = sub.add_parser("head", parents=[common, terms],
+    p = sub.add_parser("head", parents=[fueled, common, terms],
                        help="head-reduce a term and report the length")
     p.add_argument("term")
     p.add_argument("--trace", action="store_true",
                    help="print every intermediate state")
     p.set_defaults(run=cmd_head)
 
-    p = sub.add_parser("eq", parents=[common, terms],
+    p = sub.add_parser("eq", parents=[fueled, common, terms],
                        help="decide beta-eta-equality of two terms (with fuel)")
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(run=cmd_eq)
 
-    p = sub.add_parser("definable", parents=[common, terms],
+    p = sub.add_parser("definable", parents=[fueled, common, terms],
                        help="check that a term defines a named numeric function")
     p.add_argument("system", metavar="{" + ",".join(SYSTEM_NAMES) + "}")
     p.add_argument("term")
@@ -331,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exit_:  # a usage error, or --help
         return exit_.code
-    if args.fuel < 1:
+    if getattr(args, "fuel", 1) < 1:
         print("fuel must be at least 1", file=sys.stderr)
         return EXIT_FAIL
     if getattr(args, "upto", None) is not None and args.upto < 0:

@@ -60,9 +60,6 @@ class Program:
     def as_mapping(self) -> dict[str, Term]:
         return dict(self.definitions)
 
-    def names(self) -> list[str]:
-        return [name for name, _ in self.definitions]
-
 
 # Each match is one token, as a pair: an identifier and "", or "" and any
 # other piece, which is a comment or one character.  Whitespace matches

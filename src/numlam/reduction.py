@@ -14,29 +14,26 @@ and not the length of the spine.  Beta-normalization is one iterative
 normal-order pass in the order of Sestoft ("Demonstrating lambda calculus
 reduction", 2002): it head-reduces, then normalizes the arguments of the
 head normal form left to right, each on a machine of its own, the waiting
-machines kept on a stack.  Its invariant: it contracts the leftmost-outermost
-redexes that a search from the root after each step would, in the same
-order, so the step counts and, at every fuel, the partial term are those of
-step-by-step reduction.  `beta_step_normal_order` is one step of that pass.
-The eta pass after it is a post-order walk over an explicit stack.
+machines kept on a stack.  Its invariant: at every fuel, its partial term
+and step count are those of that many single leftmost-outermost steps, so
+`beta_normalize(t, Fuel(1))` is one such step.  The eta pass after it is a
+post-order walk over an explicit stack.
 Each contraction is one call of the one-binding walk
 `terms.substitute_one(body, binder, arg)`, with no map built for it.
 
-A closed abstraction that a pass returns as normal is marked so in its
-set of free variables (see `terms`): beta-normal by `beta_normalize`,
-beta-eta-normal by the eta pass.  When the eta pass contracts inside a
-closed abstraction, it leaves there the third mark, an `_EtaForm` that
-holds the eta-normal form and the contraction count.  Every pass and scan
-here takes a marked abstraction as a normal leaf and does not walk into it:
-the eta pass puts in the stored form and adds the stored count.  So a
+A closed abstraction found beta-eta-normal is marked so in its set of free
+variables (see `terms`).  When the eta pass contracts inside a closed
+abstraction, it leaves there the other mark, an `_EtaForm` that holds the
+eta-normal form and the contraction count.  Every pass and scan here takes
+a marked abstraction as a normal leaf and does not walk into it: the eta
+pass puts in the stored form and adds the stored count.  So a
 numeral that one check has normalized costs the next check nothing, and
 neither do the marked numerals nested inside a new one.  The beta pass
 also notes whether its normal form may hold an eta-redex, and when it
 cannot, `beta_eta_normalize` makes no eta pass.
 
 `head_reduce` records each step as its machine state, and its trace builds
-the terms of the states only when they are read.  `head_step`, `head_redex`
-and `is_head_normal_form` use the same machine.
+the terms of the states only when they are read.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from dataclasses import dataclass
 
 from .terms import (
     _BETA_ETA_NORMAL,
-    _BETA_NORMAL,
     _NO_NAMES,
     _EtaForm,
     App,
@@ -140,8 +136,7 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     each redex recurses on the parts of its body that hold the bound name.
 
     A marked abstraction (see `terms`) is a normal leaf: the pass does not
-    go into it, though it still contracts it when it is applied.  A normal
-    form that is a closed abstraction comes back marked beta-normal.
+    go into it, though it still contracts it when it is applied.
 
     The pass runs the head machine (see above) in the order of Sestoft
     ("Demonstrating lambda calculus reduction", 2002): it head-reduces a
@@ -222,8 +217,6 @@ def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
                     maybe_eta = True
                 head = lam if head is lam.body else Lam(x, head)
             if not levels:
-                if type(head) is Lam and head._fv is _NO_NAMES:
-                    _set_lam_fv(head, _BETA_NORMAL)
                 return Normal(head, steps), maybe_eta
             binders, fn, spine = levels.pop()
             node, spine = spine
@@ -233,17 +226,6 @@ def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
                 head = spine[0].arg
                 binders = spine = None
                 break
-
-
-def beta_step_normal_order(t: Term) -> Term | None:
-    """Contract the leftmost-outermost beta-redex; None iff t is beta-normal.
-
-    The redex chosen is the first found depth-first visiting each node
-    before its function child before its argument child: the first step of
-    `beta_normalize`.
-    """
-    out = beta_normalize(t, Fuel(1))
-    return out.term if out.steps else None
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +319,7 @@ def _eta(t: Term) -> tuple[Term, int]:
 def _mark_beta_eta_normal(t: Term) -> None:
     """Mark t beta-eta-normal if it is a closed abstraction; t must be
     beta-eta-normal."""
-    if type(t) is Lam and (t._fv is _NO_NAMES or t._fv is _BETA_NORMAL):
+    if type(t) is Lam and t._fv is _NO_NAMES:
         _set_lam_fv(t, _BETA_ETA_NORMAL)
 
 
@@ -485,24 +467,6 @@ class HeadResult:
     reached_hnf: bool
 
 
-def head_redex(t: Term) -> Term | None:
-    """The head redex (λx.U V) of t, or None when t is in head normal form
-    λx1…λxn.(x V1…Vm)."""
-    _, head, spine = _unwind(t, None, None)
-    return spine[0] if type(head) is Lam else None
-
-
-def is_head_normal_form(t: Term) -> bool:
-    return head_redex(t) is None
-
-
-def head_step(t: Term) -> Term | None:
-    """Contract the head redex; None iff t is in head normal form.  One step
-    of `head_reduce`."""
-    trace = head_reduce(t, Fuel(1)).trace
-    return trace.final if trace.length else None
-
-
 def head_reduce(t: Term, fuel: Fuel = DEFAULT_FUEL) -> HeadResult:
     """Head-reduce t until head normal form or the fuel runs out.
     The trace length is the head-reduction length between the endpoints.
@@ -527,13 +491,3 @@ def head_reduce(t: Term, fuel: Fuel = DEFAULT_FUEL) -> HeadResult:
         steps.append((binders, head, spine))
         binders, head, spine = _unwind(head, binders, spine)
     return HeadResult(HeadTrace(t, steps), True)
-
-
-def solvable(t: Term, fuel: Fuel = DEFAULT_FUEL) -> int | None:
-    """Head steps to head normal form if reached within fuel, else None.
-
-    None means unknown: head-reduction termination is undecidable, so this
-    never claims a term unsolvable.
-    """
-    result = head_reduce(t, fuel)
-    return result.trace.length if result.reached_hnf else None

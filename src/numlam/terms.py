@@ -11,16 +11,16 @@ set takes no part in equality, hashing or `repr`.  Equal sets are one
 object: a table in this module keeps each name's one-name set and each
 non-empty set that a node holds.
 
-The set of a closed abstraction may also be a mark, an empty set that says
-what a reduction found out about its subtree: beta-normal (`_BETA_NORMAL`),
-beta-eta-normal (`_BETA_ETA_NORMAL`), or beta-normal with the eta-normal form
-and eta step count an `_EtaForm` holds.  The reductions set them on the
-closed normal forms they meet and walk past a marked abstraction as a normal
-leaf.  A mark is still the empty set of free variables, so every reader
-works unchanged; no constructor hands a mark up to the parent it builds.
+The set of a closed abstraction may also be one of two marks, an empty set
+that says what a reduction found out about its subtree: beta-eta-normal
+(`_BETA_ETA_NORMAL`), or beta-normal with the eta-normal form and eta step
+count an `_EtaForm` holds.  The reductions set them on the closed normal
+forms they meet and walk past a marked abstraction as a normal leaf.  A
+mark is still the empty set of free variables, so every reader works
+unchanged; no constructor hands a mark up to the parent it builds.
 Pickle and deepcopy rebuild a term through the constructors, so a clone
-holds the tables' sets, the clone of an abstraction marked normal the very
-mark, and that of one holding an `_EtaForm` the plain empty set.
+holds the tables' sets, the clone of an abstraction marked beta-eta-normal
+the very mark, and that of one holding an `_EtaForm` the plain empty set.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class Lam:
         _set_lam_fv(self, fv)
 
     def __reduce__(self):
-        if type(self._fv) is _Mark:
-            return _marked_lam, (self.binder, self.body, self._fv)
+        if self._fv is _BETA_ETA_NORMAL:
+            return _marked_lam, (self.binder, self.body)
         return Lam, (self.binder, self.body)
 
 
@@ -132,18 +132,10 @@ Substitution = Mapping[str, Term]
 
 class _Mark(frozenset):
     """The empty set of free variables of a closed abstraction that is known
-    to be normal.  Marks are told apart by identity; pickle and deepcopy
-    give back the very mark, by its name in this module."""
-
-    def __reduce__(self):
-        return self.name
+    to be beta-eta-normal, told apart from _NO_NAMES by identity."""
 
 
-# The marks a closed abstraction's _fv may hold instead of _NO_NAMES.
-_BETA_NORMAL = _Mark()
-_BETA_NORMAL.name = "_BETA_NORMAL"
 _BETA_ETA_NORMAL = _Mark()
-_BETA_ETA_NORMAL.name = "_BETA_ETA_NORMAL"
 
 
 class _EtaForm(frozenset):
@@ -161,11 +153,11 @@ class _EtaForm(frozenset):
         return mark
 
 
-def _marked_lam(binder: str, body: Term, mark: _Mark) -> Lam:
-    """The abstraction λbinder.body carrying mark: how pickle and deepcopy
-    rebuild a marked abstraction."""
+def _marked_lam(binder: str, body: Term) -> Lam:
+    """The abstraction λbinder.body marked beta-eta-normal: how pickle and
+    deepcopy rebuild one."""
     node = Lam(binder, body)
-    _set_lam_fv(node, mark)
+    _set_lam_fv(node, _BETA_ETA_NORMAL)
     return node
 
 
@@ -207,14 +199,6 @@ def mk_pair(m: Term, n: Term) -> Term:
     """The pair of m and n: λx.(x m n), binder chosen fresh for both."""
     x = fresh_name("x", m._fv | n._fv)
     return Lam(x, App(App(Var(x), m), n))
-
-
-def mk_tuple(us: list[Term]) -> Term:
-    """Left fold of mk_pair seeded with I; the empty tuple is I itself."""
-    t: Term = I
-    for u in us:
-        t = mk_pair(t, u)
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 
 import oracle
 from numlam import App, Lam, Term, Var, free_vars
-from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL, _NO_NAMES, _SETS, _EtaForm
+from numlam.terms import _BETA_ETA_NORMAL, _NO_NAMES, _SETS, _EtaForm
 
 BINDER_POOL = ("x", "y", "z", "f", "g", "x'", "_v1")
 FREE_POOL = ("u", "v", "w")
@@ -206,11 +206,11 @@ def assert_caches_sound(t: Term) -> None:
     """Every node of t, variables included, holds in `_fv` the free
     variables of its subtree as tests/oracle.py works them out; a mark sits
     only on a closed abstraction, and says of it what tests/oracle.py finds:
-    beta-normal, beta-eta-normal, or beta-normal with the eta-normal form
-    and the eta step count an `_EtaForm` holds, whose form is checked as a
-    term too; an empty set is otherwise the shared empty set; and a
-    non-empty one is the one object the table of sets keeps for it, so
-    equal sets on two nodes are the same object."""
+    beta-eta-normal, or beta-normal with the eta-normal form and the eta
+    step count an `_EtaForm` holds, whose form is checked as a term too; an
+    empty set is otherwise the shared empty set; and a non-empty one is the
+    one object the table of sets keeps for it, so equal sets on two nodes
+    are the same object."""
     assert _NO_NAMES not in _SETS
     seen: set[int] = set()
     stack = [t]
@@ -235,10 +235,9 @@ def assert_caches_sound(t: Term) -> None:
         assert oracle.beta_step_normal_order(node) is None, node
         if fv is _BETA_ETA_NORMAL:
             assert oracle.is_beta_eta_normal(node), node
-        elif type(fv) is _EtaForm:
-            expected = oracle.beta_eta_normalize(node)
-            assert expected.steps == 0 and expected.eta_steps > 0, node
-            assert fv.form == expected.term and fv.eta_steps == expected.eta_steps, node
-            stack.append(fv.form)
-        else:
-            assert fv is _BETA_NORMAL, node
+            continue
+        assert type(fv) is _EtaForm, node
+        expected = oracle.beta_eta_normalize(node)
+        assert expected.steps == 0 and expected.eta_steps > 0, node
+        assert fv.form == expected.term and fv.eta_steps == expected.eta_steps, node
+        stack.append(fv.form)

@@ -78,6 +78,9 @@ def test_numeral_command(capsys):
     assert code == 0 and out.strip() == r"\x1.\x2.\x.x"
     code, out, _ = run(capsys, "numeral", "tilde", "1")
     assert code == 0 and out.strip() == r"\x.x x"
+    code, out, _ = run(capsys, "numeral", "church", "2", "--json")
+    assert code == 0
+    assert out == '{\n  "format": 1,\n  "system": "church",\n  "n": 2,\n  "term": "\\\\f.\\\\x.f (f x)"\n}\n'
 
 
 def test_check_pass(capsys):
@@ -281,6 +284,7 @@ def test_definable_with_no_cases_is_inconclusive(capsys):
     (("bogus",), "numlam: error: argument command: invalid choice: 'bogus'"),
     (("eval",), "numlam eval: error: the following arguments are required: term"),
     (("eval", "x", "--fuel", "abc"), "numlam eval: error: argument --fuel: invalid int value: 'abc'"),
+    (("numeral", "church", "2", "--fuel", "5"), "numlam: error: unrecognized arguments: --fuel 5"),
 ])
 def test_usage_error_returns_one_with_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)

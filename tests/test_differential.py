@@ -37,17 +37,13 @@ from numlam import (
     barendregt,
     beta_eta_normalize,
     beta_normalize,
-    beta_step_normal_order,
     builtin_system,
     church,
     church_k_term,
     eta_normalize,
     free_vars,
-    head_redex,
     head_reduce,
-    head_step,
     is_beta_eta_normal,
-    is_head_normal_form,
     mk_pair,
     parse_term,
     spz_from_k,
@@ -72,7 +68,7 @@ from termgen import (
 from numlam import reduction
 from numlam.harness import _numerals
 from numlam.numerals import SequenceSpec
-from numlam.terms import _BETA_ETA_NORMAL, _BETA_NORMAL, _NO_NAMES, _SETS, _EtaForm, substitute_one
+from numlam.terms import _BETA_ETA_NORMAL, _NO_NAMES, _SETS, _EtaForm, substitute_one
 
 # Replacements draw their free names from the binder pool too, so they
 # collide with the binders of the term they go into and force renaming.
@@ -332,8 +328,9 @@ def assert_fuel_ladder(t, limit):
 
     oracle.beta_normalize(t, Fuel(f)) iterates the oracle's stepper, so it
     is OutOfFuel(chain[f], f) below the step count and the last state from
-    there on; it is also called directly at both ends of the ladder.  When
-    the chain was cut at `limit` steps, the ladder stops below the cut.
+    there on; it is also called directly at both ends of the ladder.  The
+    rung f = 1 is the single step.  When the chain was cut at `limit`
+    steps, the ladder stops below the cut.
     """
     chain, normal = oracle_chain(t, limit)
     steps = len(chain) - 1
@@ -348,15 +345,8 @@ def assert_fuel_ladder(t, limit):
         assert_caches_sound(out.term)
         if f in (1, top):
             assert oracle.beta_normalize(t, Fuel(f)) == expected
-    # The single stepper follows the same chain and stops where it ends.
-    term = t
-    for state in chain[1:]:
-        term = beta_step_normal_order(term)
-        assert term == state
     if normal:
-        assert beta_step_normal_order(term) is None
         # A normal input comes back as the very same object.
-        assert beta_normalize(term).term is term
         assert beta_normalize(chain[-1]).term is chain[-1]
     return steps if normal else None
 
@@ -410,21 +400,21 @@ def test_fuel_ladder_matches_oracle_on_contract_and_k_terms():
             assert assert_fuel_ladder(app(comb, church(n)), 1_000)
 
 
+def is_marked(t):
+    return t._fv is _BETA_ETA_NORMAL or type(t._fv) is _EtaForm
+
+
 def marked_abstractions():
-    """Closed normal abstractions carrying a mark: Church numerals marked
-    beta-normal and Barendregt numerals marked beta-eta-normal, made here
-    so that no shared term is marked."""
+    """Closed normal abstractions carrying each mark, made here so that no
+    shared term is marked: Church 1, whose eta-redex leaves it holding its
+    eta form, and the other Church and the Barendregt numerals, marked
+    beta-eta-normal."""
     marked = []
-    for n in range(4):
-        d = church(n)
-        beta_normalize(d)
-        assert d._fv is _BETA_NORMAL
-        marked.append(d)
-    for n in range(1, 4):
-        d = barendregt(n)
+    for d in [church(n) for n in range(4)] + [barendregt(n) for n in range(1, 4)]:
         beta_eta_normalize(d)
-        assert d._fv is _BETA_ETA_NORMAL
         marked.append(d)
+    assert [type(d._fv) is _EtaForm for d in marked] == [False, True] + [False] * 5
+    assert all(is_marked(d) for d in marked)
     return tuple(marked)
 
 
@@ -432,18 +422,20 @@ def test_fuel_ladder_matches_oracle_on_spine_terms():
     """The normal-order machine on the shapes it treats apart: variable
     heads whose arguments hold redexes, arguments that are head normal forms
     with arguments of their own, and marked abstractions both applied and
-    as arguments, under binders; the partial term, the steps and the kind
-    of outcome at every fuel."""
+    as arguments, under binders, with both kinds of mark; the partial term,
+    the steps and the kind of outcome at every fuel.  An `_EtaForm` leaf
+    may hold an eta-redex, so beta_eta_normalize must make the eta pass."""
     rng = random.Random(1207)
     marked = marked_abstractions()
     lengths = []
     for _ in range(250):
         t = random_spine_term(rng, marked)
         lengths.append(assert_fuel_ladder(t, 80))
+        assert beta_eta_normalize(t, Fuel(80)) == oracle.beta_eta_normalize(t, Fuel(80))
         assert_caches_sound(t)
     assert lengths.count(0) > 10
     assert sum(1 for n in lengths if n and n > 3) > 50
-    assert all(d._fv in (_BETA_NORMAL, _BETA_ETA_NORMAL) for d in marked)
+    assert all(is_marked(d) for d in marked)
 
 
 def test_marked_arguments_come_back_as_themselves():
@@ -480,8 +472,9 @@ def assert_head_ladder(t, limit):
 
     Below the oracle's length oracle.head_reduce(t, Fuel(f)) stops at
     chain[f], which still has a head redex; from there on it is the whole
-    chain.  It is also called directly at both ends of the ladder.  When the
-    chain was cut at `limit` steps, the ladder stops below the cut.
+    chain.  It is also called directly at both ends of the ladder.  The
+    rung f = 1 is the single step.  When the chain was cut at `limit`
+    steps, the ladder stops below the cut.
     """
     chain, hnf = oracle_head_chain(t, limit)
     steps = len(chain) - 1
@@ -503,16 +496,6 @@ def assert_head_ladder(t, limit):
             old = oracle.head_reduce(t, Fuel(f))
             assert (old.trace.length, old.reached_hnf) == (length, f >= steps)
             assert old.trace.states == expected
-    # The single stepper follows the same chain and stops where it ends,
-    # and the head redex is there exactly when the oracle takes a step.
-    term = t
-    for state in chain[1:]:
-        assert head_redex(term) is not None and not is_head_normal_form(term)
-        term = head_step(term)
-        assert term == state
-    if hnf:
-        assert head_step(term) is None
-        assert head_redex(term) is None and is_head_normal_form(term)
     return steps if hnf else None
 
 
@@ -559,7 +542,8 @@ def test_head_ladder_matches_oracle_on_contract_terms():
 
 def test_head_redex_under_binders_matches_oracle():
     """The head machine keeps the abstractions it passes as nodes; the head
-    redex it finds under them is the oracle's, as the very subterm of t."""
+    step it takes under them is the oracle's, and the arguments after the
+    head redex stay the very subterms of t."""
     rng = random.Random(1208)
     marked = marked_abstractions()
     redexes = 0
@@ -568,18 +552,20 @@ def test_head_redex_under_binders_matches_oracle():
         for b in rng.sample(BINDER_POOL, rng.randint(0, 3)):
             t = Lam(b, t)
         expected = oracle.head_step(t)
-        redex = head_redex(t)
-        assert (redex is None) == (expected is None) == is_head_normal_form(t)
-        node = t
-        while isinstance(node, Lam):
-            node = node.body
-        while isinstance(node, App) and isinstance(node.fn, App):
-            node = node.fn
-        if redex is None:
-            assert not (isinstance(node, App) and isinstance(node.fn, Lam))
+        result = head_reduce(t, Fuel(1))
+        if expected is None:
+            assert result.reached_hnf and result.trace.length == 0
+            assert result.trace.final is t
             continue
-        assert redex is node
-        assert head_step(t) == expected
+        after = result.trace.final
+        assert result.trace.length == 1 and after == expected
+        node, stepped = t, after
+        while isinstance(node, Lam):
+            node, stepped = node.body, stepped.body
+        while isinstance(node.fn, App):
+            assert stepped.arg is node.arg
+            node, stepped = node.fn, stepped.fn
+        assert isinstance(node.fn, Lam)
         redexes += 1
     assert redexes > 100
 
@@ -708,7 +694,7 @@ def test_contract_terms_over_marked_numerals_normalize_like_oracle():
         numerals = list(_numerals(system, 8))
         for d in numerals[::2]:
             assert beta_eta_normalize(d) == oracle.beta_eta_normalize(d)
-        assert numerals[2]._fv in (_BETA_NORMAL, _BETA_ETA_NORMAL)
+        assert is_marked(numerals[2])
         for comb in (system.successor, system.predecessor, system.zero_test):
             if comb is None:
                 continue
@@ -726,7 +712,7 @@ def test_a_mark_never_reaches_the_cache_of_a_parent():
     assert d._fv is _BETA_ETA_NORMAL
     t = Lam("z", App(d, App(I, I)))
     assert free_vars(t) == frozenset()
-    assert t._fv is not _BETA_NORMAL and t._fv is not _BETA_ETA_NORMAL
+    assert t._fv is _NO_NAMES
     out = beta_normalize(t)
     assert out.steps > 0
     assert out == oracle.beta_normalize(t)
@@ -740,11 +726,11 @@ def test_a_mark_never_reaches_the_cache_of_an_application():
     d = barendregt(2)
     e = builtin_system("c").numeral(2)
     beta_eta_normalize(d)
-    beta_normalize(e)
-    assert d._fv is _BETA_ETA_NORMAL and e._fv is _BETA_NORMAL
+    beta_eta_normalize(e)
+    assert d._fv is _BETA_ETA_NORMAL and type(e._fv) is _EtaForm
     for t in (App(d, e), App(e, d), App(d, d), App(App(d, e), I), App(Var("v"), d)):
         assert_caches_sound(t)
-        assert t._fv is not _BETA_NORMAL and t._fv is not _BETA_ETA_NORMAL
+        assert type(t._fv) is frozenset
         if not t._fv:
             out = beta_normalize(t)
             assert out.steps > 0 and out == oracle.beta_normalize(t)
@@ -831,9 +817,8 @@ def test_a_clone_of_a_remembered_eta_form_is_a_plain_abstraction():
 def test_a_clean_beta_pass_skips_the_eta_pass(monkeypatch):
     """When the beta pass meets no eta-redex and no leaf that may hold one,
     there is no eta pass, and the closed normal form is marked
-    beta-eta-normal as the eta pass would mark it.  A leaf marked only
-    beta-normal may hold an eta-redex, and so may one that remembers its
-    eta form: then the eta pass runs."""
+    beta-eta-normal as the eta pass would mark it.  A leaf that remembers
+    its eta form holds an eta-redex: then the eta pass runs."""
     eta_pass = reduction._eta
     calls = []
 
@@ -847,17 +832,16 @@ def test_a_clean_beta_pass_skips_the_eta_pass(monkeypatch):
     assert out == oracle.beta_eta_normalize(t) and out.term._fv is _BETA_ETA_NORMAL
     assert calls == []
     two = church(2)
-    beta_normalize(two)
-    assert two._fv is _BETA_NORMAL
+    assert beta_normalize(two).term is two and two._fv is _NO_NAMES
     assert beta_eta_normalize(App(I, two)) == Normal(two, 1, 0)
-    assert calls == [two] and two._fv is _BETA_ETA_NORMAL
+    assert calls == [] and two._fv is _BETA_ETA_NORMAL
     one = church(1)
     t = parse_term(r"\g.(\y.y) (\x.g x)")
     for _ in range(2):
         assert beta_eta_normalize(App(I, one)) == Normal(Lam("f", Var("f")), 1, 1)
         assert type(one._fv) is _EtaForm
         assert beta_eta_normalize(t) == oracle.beta_eta_normalize(t)
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -968,25 +952,17 @@ def test_free_vars_cache_is_invisible():
     # A clone of a closed abstraction that no reduction has marked holds
     # the shared empty set, so a reduction marks it as it marks the
     # original.
-    two = parse_term(r"\f.\x.f (f x)")
-    for clone in clones(two):
-        assert clone == two and clone._fv is _NO_NAMES
-        assert beta_normalize(clone).term is clone and clone._fv is _BETA_NORMAL
-    for clone in clones(barendregt(3)):
+    for clone in clones(church(2)) + clones(barendregt(3)):
         assert clone._fv is _NO_NAMES
         assert beta_eta_normalize(clone).term is clone and clone._fv is _BETA_ETA_NORMAL
-    # A closed normal form a reduction returned is marked in the same slot:
-    # beta-eta-normal for a barendregt numeral, only beta-normal for a c
-    # numeral over the Church sequence, whose e_1 = \f.\x.f x has an
-    # eta-redex.
+    # A closed normal form a reduction returned is marked in the same slot,
+    # and a clone keeps the mark.
     d = barendregt(3)
+    plain = barendregt(3)
     assert beta_eta_normalize(d).term is d and d._fv is _BETA_ETA_NORMAL
-    e = builtin_system("c").numeral(2)
-    assert beta_normalize(e).term is e and e._fv is _BETA_NORMAL
-    for marked, plain in ((d, barendregt(3)), (e, builtin_system("c").numeral(2))):
-        assert marked == plain and hash(marked) == hash(plain) and repr(marked) == repr(plain)
-        for clone in clones(marked):
-            assert clone == marked and hash(clone) == hash(marked) and repr(clone) == repr(marked)
-            assert clone._fv is marked._fv
-            assert free_vars(clone) == frozenset()
-            assert beta_eta_normalize(clone) == beta_eta_normalize(plain)
+    assert d == plain and hash(d) == hash(plain) and repr(d) == repr(plain)
+    for clone in clones(d):
+        assert clone == d and hash(clone) == hash(d) and repr(clone) == repr(d)
+        assert clone._fv is _BETA_ETA_NORMAL
+        assert free_vars(clone) == frozenset()
+        assert beta_eta_normalize(clone) == beta_eta_normalize(plain)

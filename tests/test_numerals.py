@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 import oracle
@@ -31,7 +33,6 @@ from numlam import (
     is_generator,
     lam,
     mk_pair,
-    mk_tuple,
     parse_term,
     tilde_numeral,
 )
@@ -186,12 +187,12 @@ def test_is_generator_accepts_crafted_generator():
 def test_is_generator_reports_as_with_tuples_built_afresh(upto):
     """is_generator steps each tuple and element from the one before; its
     report must be the one it gave when it built the elements afresh and
-    each tuple by mk_tuple."""
+    each tuple as a left fold of mk_pair from I."""
     a = _church_generator()
     elements = [church(i) for i in range(1, upto + 1)]
     cases = [eq_case("base", App(a, I), elements[0])]
     for n in range(1, upto):
-        cases.append(eq_case(f"n={n}", App(a, mk_tuple(elements[:n])), elements[n]))
+        cases.append(eq_case(f"n={n}", App(a, functools.reduce(mk_pair, elements[:n], I)), elements[n]))
     expected = CheckReport("generator for church", tuple(cases)).to_dict()
     assert expected["overall"] == "pass"
     assert is_generator(a, CHURCH_SEQUENCE, upto).to_dict() == expected

@@ -125,7 +125,7 @@ def test_parse_program_duplicate_name():
 def test_parse_program_comments_and_blank_lines():
     text = "-- prelude\n\nI = \\x.x;  -- identity\r\nK = \\x.\\y.x;\n"
     prog = parse_program(text)
-    assert prog.names() == ["I", "K"]
+    assert [name for name, _ in prog.definitions] == ["I", "K"]
 
 
 def test_syntax_error_carries_position():

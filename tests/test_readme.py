@@ -1,11 +1,13 @@
 """The README's examples, run as written, so that a renamed function or a
 name no longer exported from `numlam` cannot leave them stale."""
 
+import argparse
+import importlib
 import re
 import shlex
 from pathlib import Path
 
-from numlam.cli import main
+from numlam.cli import _build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -37,3 +39,30 @@ def test_cli_examples_print_their_comments(capsys):
     for argv, comment in examples:
         main(argv)
         assert capsys.readouterr().out.splitlines() == [comment]
+
+
+def test_cli_synopsis_lists_each_commands_options():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    synopsis = {}
+    for entry in fenced_block("## CLI", "").split("numlam ")[1:]:
+        command, *words = entry.split()
+        synopsis[command] = set(re.findall(r"--[a-z]+", " ".join(words)))
+    assert synopsis.keys() == commands.keys()
+    for command, sub in commands.items():
+        options = {s for action in sub._actions for s in action.option_strings}
+        assert synopsis[command] == options - {"-h", "--help"}, command
+
+
+def test_module_list_names_only_what_each_module_has():
+    """The first sentence of each `numlam.X` bullet lists names of numlam.X."""
+    section = README.split("\nModules:\n\n", 1)[1].split("\n\n", 1)[0]
+    bullets = re.findall(r"^- `numlam\.(\w+)` — (.*?)(?=^- |\Z)", section, re.S | re.M)
+    assert [module for module, _ in bullets] == [
+        "terms", "parser", "reduction", "numerals", "harness", "report"]
+    for module, text in bullets:
+        first = re.split(r"\.\s", " ".join(text.split()), maxsplit=1)[0]
+        names = re.findall(r"`([^`]+)`", first)
+        assert names, module
+        for name in names:
+            assert hasattr(importlib.import_module(f"numlam.{module}"), name), (module, name)

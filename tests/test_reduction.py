@@ -20,21 +20,16 @@ from numlam import (
     beta_eta_eq,
     beta_eta_normalize,
     beta_normalize,
-    beta_step_normal_order,
     builtin_system,
     church,
     church_k_term,
     eta_normalize,
     free_vars,
-    head_redex,
     head_reduce,
-    head_step,
     is_beta_eta_normal,
-    is_head_normal_form,
     mk_pair,
     parse_term,
     size,
-    solvable,
     substitute,
     tilde_numeral,
 )
@@ -46,17 +41,16 @@ OMEGA = parse_term(r"(\x.x x) (\x.x x)")
 
 
 def test_beta_step_simple_redex():
-    assert beta_step_normal_order(parse_term(r"(\x.x) y")) == Var("y")
+    assert beta_normalize(parse_term(r"(\x.x) y"), Fuel(1)) == Normal(Var("y"), 1)
 
 
 def test_beta_step_outermost_first():
     t = parse_term(r"(\x.\y.x) a b")
-    stepped = beta_step_normal_order(t)
-    assert stepped == parse_term(r"(\y.a) b")
+    assert beta_normalize(t, Fuel(1)) == OutOfFuel(parse_term(r"(\y.a) b"), 1)
 
 
 def test_beta_step_normal_term():
-    assert beta_step_normal_order(I) is None
+    assert beta_normalize(I, Fuel(1)) == Normal(I, 0)
 
 
 def test_beta_normalize_successor_application():
@@ -223,6 +217,13 @@ def test_beta_eta_eq_examples():
     assert verdict.is_unknown and verdict.reason
 
 
+def head_step(t):
+    """One step of head_reduce: the term it leaves, or None at head normal
+    form."""
+    trace = head_reduce(t, Fuel(1)).trace
+    return trace.final if trace.length else None
+
+
 def test_head_step_contracts_under_binders():
     assert head_step(parse_term(r"(\x.x) y")) == Var("y")
     assert head_step(parse_term(r"\z.(\x.x) a b")) == parse_term(r"\z.a b")
@@ -230,12 +231,12 @@ def test_head_step_contracts_under_binders():
 
 
 def test_head_redex_classification():
-    t = parse_term(r"\x.(\y.y) a b")
-    redex = head_redex(t)
-    assert redex == parse_term(r"(\y.y) a")
-    assert head_redex(parse_term(r"\x.x ((\y.y) a)")) is None
-    assert head_redex(Var("x")) is None
-    assert is_head_normal_form(Var("x"))
+    """A head redex under binders is contracted; a redex in argument
+    position is not a head redex."""
+    assert head_step(parse_term(r"\x.(\y.y) a b")) == parse_term(r"\x.a b")
+    for hnf in (parse_term(r"\x.x ((\y.y) a)"), Var("x")):
+        result = head_reduce(hnf, Fuel(1))
+        assert result.reached_hnf and result.trace.length == 0
 
 
 def test_head_reduce_a_system_predecessor():
@@ -260,9 +261,10 @@ def test_head_reduce_c_zero_test():
 
 
 def test_solvable():
-    assert solvable(I) == 0
-    assert solvable(OMEGA, Fuel(100)) is None
-    assert solvable(parse_term("Z x y")) == 0
+    for t in (I, parse_term("Z x y")):
+        result = head_reduce(t)
+        assert result.reached_hnf and result.trace.length == 0
+    assert not head_reduce(OMEGA, Fuel(100)).reached_hnf
 
 
 def test_each_step_is_one_call_of_the_name_the_benchmark_wraps(monkeypatch):
@@ -300,15 +302,12 @@ def test_strategy_soundness_with_witnessed_steps():
         out = beta_normalize(t, Fuel(200))
         if not isinstance(out, Normal):
             continue
+        # One pass makes the steps that single steps from the root make.
         chain = [t]
-        while True:
-            nxt = beta_step_normal_order(chain[-1])
-            if nxt is None:
-                break
-            chain.append(nxt)
+        while (step := beta_normalize(chain[-1], Fuel(1))).steps:
+            chain.append(step.term)
         assert len(chain) - 1 == out.steps
         assert chain[-1] == out.term
-        assert beta_step_normal_order(out.term) is None
 
 
 def test_eta_after_beta_stability():
@@ -354,7 +353,7 @@ def test_beta_expansion_of_hnf_stays_solvable():
     for _ in range(30):
         base = random_hnf(rng)
         expanded = beta_expand(base, rng, rng.randint(1, 30))
-        assert solvable(expanded, Fuel(10 * size(expanded))) is not None
+        assert head_reduce(expanded, Fuel(10 * size(expanded))).reached_hnf
 
 
 def test_normalizing_normal_term_is_stationary():

@@ -18,7 +18,6 @@ from numlam import (
     is_closed,
     lam,
     mk_pair,
-    mk_tuple,
     parse_term,
     size,
     substitute,
@@ -97,13 +96,6 @@ def test_mk_pair_binder_freshness():
     p = mk_pair(Var("x"), Var("y"))
     assert isinstance(p, Lam) and p.binder not in ("x", "y")
     assert alpha_eq(p, Lam("z", App(App(Var("z"), Var("x")), Var("y"))))
-
-
-def test_mk_tuple():
-    u1, u2 = Var("u1"), Var("u2")
-    assert mk_tuple([]) == I
-    assert mk_tuple([u1]) == mk_pair(I, u1)
-    assert mk_tuple([u1, u2]) == mk_pair(mk_pair(I, u1), u2)
 
 
 def test_size():
