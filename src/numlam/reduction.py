@@ -7,33 +7,18 @@ three-valued `EqVerdict` (decided by `report.beta_eta_eq`): Equal and
 Distinct are definitive (both sides reached beta-eta-normal form), Unknown
 means fuel ran out and is never collapsed to a definite answer.
 
-Beta-normalization and head reduction run on one machine, a state
-(binders, head, argument spine) in the manner of Krivine's machine: a step
-contracts the head redex in place of its spine, so it costs the redex body
-and not the length of the spine.  Beta-normalization is one iterative
-normal-order pass in the order of Sestoft ("Demonstrating lambda calculus
-reduction", 2002): it head-reduces, then normalizes the arguments of the
-head normal form left to right, each on a machine of its own, the waiting
-machines kept on a stack.  Its invariant: at every fuel, its partial term
-and step count are those of that many single leftmost-outermost steps, so
-`beta_normalize(t, Fuel(1))` is one such step.  The eta pass after it is a
-post-order walk over an explicit stack.
-Each contraction is one call of the one-binding walk
-`terms.substitute_one(body, binder, arg)`, with no map built for it.
+Beta-normalization and head reduction run on the machine described below.
 
 A closed abstraction found beta-eta-normal is marked so in its set of free
 variables (see `terms`).  When the eta pass contracts inside a closed
 abstraction, it leaves there the other mark, an `_EtaForm` that holds the
 eta-normal form and the contraction count.  Every pass and scan here takes
 a marked abstraction as a normal leaf and does not walk into it: the eta
-pass puts in the stored form and adds the stored count.  So a
-numeral that one check has normalized costs the next check nothing, and
-neither do the marked numerals nested inside a new one.  The beta pass
-also notes whether its normal form may hold an eta-redex, and when it
-cannot, `beta_eta_normalize` makes no eta pass.
-
-`head_reduce` records each step as its machine state, and its trace builds
-the terms of the states only when they are read.
+pass puts in the stored form and adds the stored count.  So a numeral that
+one check has normalized costs the next check nothing, and neither do the
+marked numerals nested inside a new one.  The beta pass also notes whether
+its normal form may hold an eta-redex, and when it cannot,
+`beta_eta_normalize` makes no eta pass.
 """
 
 from __future__ import annotations
@@ -49,7 +34,7 @@ from .terms import (
     Term,
     Var,
     _set_lam_fv,
-    # Under this name so that bench/spans.py can wrap contractions, until counters do.
+    # Under this name so that bench/spans.py can wrap substitutions, until counters do.
     substitute_one as substitute,
 )
 
@@ -95,29 +80,52 @@ ReductionOutcome = Normal | OutOfFuel
 # ---------------------------------------------------------------------------
 # The machine
 #
-# beta_normalize and head_reduce run on a state (binders, head, spine) that
-# stands for the term λb1…λbk.(head V1 … Vm).  Both lists are persistent
-# cons lists, None when empty, so a step shares them with the state before
-# it:
+# beta_normalize and head_reduce run on a state (binders, head, spine) in
+# the manner of Krivine ("A call-by-name lambda-calculus machine", HOSC 20,
+# 2007) that stands for the term λb1…λbk.(head V1 … Vm).  Both lists are
+# persistent cons lists, None when empty, so a step shares them with the
+# state before it:
 #   binders   (lam, rest), the abstractions around head, the innermost on
 #             top; lam.binder is the bound name;
-#   spine     (app, rest), the applications whose function is head, the
-#             innermost on top; app.arg is an argument, the first on top.
-# The lists hold the nodes of the term rather than names and arguments, so
-# the head redex of a term is one of its own subterms, and a part of a state
-# that no step has changed rebuilds to the very nodes it was read from.
+#   spine     (arg, app, rest), the arguments of head, the first on top;
+#             app is the application of the term that holds arg, or None
+#             for an argument a contraction pushed.
+# A contraction (`_contract`) pops the first argument and pushes the
+# arguments of the contractum's left spine, so a step costs the redex body,
+# not the spine, and builds no application for the next step to take
+# apart.  A part of a state that no step has changed rebuilds to the very
+# nodes it was read from.
 
 
 def _state_term(binders, head: Term, spine) -> Term:
     """The term a machine state stands for.  A node of the lists whose
     function or body is the term built so far is reused as it is."""
     while spine is not None:
-        node, spine = spine
-        head = node if head is node.fn else App(head, node.arg)
+        arg, node, spine = spine
+        head = node if node is not None and head is node.fn else App(head, arg)
     while binders is not None:
         lam, binders = binders
         head = lam if head is lam.body else Lam(lam.binder, head)
     return head
+
+
+def _contract(lam: Lam, arg: Term, spine):
+    """Contract (lam arg) in front of spine: the contractum's head, and the
+    spine with the arguments of the body's left spine pushed, down to the
+    first application without the bound name x.  Each argument and the head
+    is arg if it is x, goes through `terms.substitute_one` if it holds x,
+    and stays as it is otherwise."""
+    x = lam.binder
+    body = lam.body
+    while type(body) is App and x in body._fv:
+        a = body.arg
+        if x in a._fv:
+            a = arg if type(a) is Var else substitute(a, x, arg)
+        spine = (a, None, spine)
+        body = body.fn
+    if x in body._fv:
+        body = arg if type(body) is Var else substitute(body, x, arg)
+    return body, spine
 
 
 # ---------------------------------------------------------------------------
@@ -126,28 +134,21 @@ def _state_term(binders, head: Term, spine) -> Term:
 def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     """Beta-normalize t in normal order, spending at most fuel.max_steps.
 
-    Each step contracts the leftmost-outermost redex of the whole term, the
-    one a search from the root would find, but one iterative pass makes all
-    the steps: the steps, their count and, when the fuel runs out, the
-    partial term are those of that many single steps.  A normal t comes back as the
-    same object; in general, subtrees the reduction leaves unchanged are
-    shared with t.  The pass itself does not recurse, so the depth of t is
-    not bounded by the recursion limit; the one-binding walk that contracts
-    each redex recurses on the parts of its body that hold the bound name.
+    One iterative pass makes the leftmost-outermost steps: at every fuel,
+    the partial term and the step count are those of that many single steps
+    from the root, so `beta_normalize(t, Fuel(1))` is one step.  A normal t
+    comes back as the same object, and subtrees the reduction leaves
+    unchanged are shared with t.  The pass does not recurse; the one-binding
+    walk recurses into the parts of a contractum that hold the bound name.
+    A marked abstraction (see `terms`) is a normal leaf, though it is still
+    contracted when applied.
 
-    A marked abstraction (see `terms`) is a normal leaf: the pass does not
-    go into it, though it still contracts it when it is applied.
-
-    The pass runs the head machine (see above) in the order of Sestoft
+    The pass runs the machine (see above) in the order of Sestoft
     ("Demonstrating lambda calculus reduction", 2002): it head-reduces a
     term to λb1…λbk.(x V1 … Vm), then normalizes V1 to Vm left to right,
-    each on a machine of its own, and the leftmost-outermost redex is always
-    the head redex of the machine at work.  A contraction pops its argument
-    off the spine and leaves the contractum as the head, so a contractum
-    that is an abstraction meets its next argument without an application
-    built around it.  The machines that wait for an argument's normal form
-    are kept on a stack of levels; a finished argument is put back into its
-    application, which is reused when nothing in it changed.
+    each on a machine of its own, kept on a stack of levels.  A finished
+    argument goes back into its application, which is reused when nothing
+    in it changed and built when a contraction pushed the argument.
     """
     return _beta_pass(t, fuel)[0]
 
@@ -160,32 +161,39 @@ def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
     maybe_eta = False
     steps = 0
     # The waiting machines, outermost first: (binders, fn, spine) waits for
-    # the normal form of spine[0].arg; fn is the normal form of what spine[0]
-    # applies, and spine[1] holds the applications still to go.
+    # the normal form of the argument spine[0]; fn is the normal form of the
+    # function it is applied to, and spine[2] holds the arguments to go.
     levels: list = []
     binders = spine = None
     head = t
-    # The unwinding, the contraction and the rebuilding of a finished level
-    # are written out in this loop rather than called: a function call per
-    # step costs a measurable share of the pass.
+    # The unwinding, the contraction (`_contract`) and the rebuilding of a
+    # finished level are written out in this loop rather than called: a call
+    # per move costs a measurable share of the pass.
     while True:
         # Exact class tests, as in terms: Var, Lam and App have no subclasses.
         cls = type(head)
         if cls is App:
-            spine = (head, spine)
+            spine = (head.arg, head, spine)
             head = head.fn
             continue
         if cls is Lam:
             if spine is not None:
                 if steps == max_steps:
                     t = _state_term(binders, head, spine)
-                    for binders, fn, spine in reversed(levels):
-                        node, spine = spine
-                        t = node if fn is node.fn and t is node.arg else App(fn, t)
-                        t = _state_term(binders, t, spine)
+                    for binders, fn, (arg, node, spine) in reversed(levels):
+                        t = _state_term(binders, fn, (t, node if t is arg else None, spine))
                     return OutOfFuel(t, steps), True
-                node, spine = spine
-                head = substitute(head.body, head.binder, node.arg)
+                arg, _, spine = spine
+                x = head.binder
+                head = head.body
+                while type(head) is App and x in head._fv:
+                    a = head.arg
+                    if x in a._fv:
+                        a = arg if type(a) is Var else substitute(a, x, arg)
+                    spine = (a, None, spine)
+                    head = head.fn
+                if x in head._fv:
+                    head = arg if type(head) is Var else substitute(head, x, arg)
                 steps += 1
                 continue
             fv = head._fv
@@ -199,7 +207,7 @@ def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
         elif spine is not None:
             # Head normal form: normalize the first argument.
             levels.append((binders, head, spine))
-            head = spine[0].arg
+            head = spine[0]
             binders = spine = None
             continue
         # The head is normal and nothing is applied to it: close the
@@ -207,23 +215,16 @@ def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
         while True:
             while binders is not None:
                 lam, binders = binders
-                x = lam.binder
-                if (
-                    type(head) is App
-                    and type(head.arg) is Var
-                    and head.arg.name == x
-                    and x not in head.fn._fv
-                ):
-                    maybe_eta = True
-                head = lam if head is lam.body else Lam(x, head)
+                if not maybe_eta:
+                    maybe_eta = _is_eta_redex(lam.binder, head)
+                head = lam if head is lam.body else Lam(lam.binder, head)
             if not levels:
                 return Normal(head, steps), maybe_eta
-            binders, fn, spine = levels.pop()
-            node, spine = spine
-            head = node if fn is node.fn and head is node.arg else App(fn, head)
+            binders, fn, (arg, node, spine) = levels.pop()
+            head = node if head is arg and node is not None and fn is node.fn else App(fn, head)
             if spine is not None:
                 levels.append((binders, head, spine))
-                head = spine[0].arg
+                head = spine[0]
                 binders = spine = None
                 break
 
@@ -403,19 +404,16 @@ def unknown(reason: str) -> EqVerdict:
 
 # ---------------------------------------------------------------------------
 # Head reduction
-#
-# head_reduce runs the machine of beta_normalize one head step at a time and
-# records each state; `_state_term` builds the terms of the states.
 
 def _unwind(head: Term, binders, spine):
     """Make the machine's moves that contract nothing: an application head
     goes onto the spine, an abstraction with no argument onto the binders.
     Stops at a variable head, which is head normal form, or at an
-    abstraction with an argument, when spine[0] is the head redex."""
+    abstraction with an argument, the head redex."""
     while True:
         cls = type(head)
         if cls is App:
-            spine = (head, spine)
+            spine = (head.arg, head, spine)
             head = head.fn
         elif cls is Lam and spine is None:
             binders = (head, binders)
@@ -468,17 +466,10 @@ class HeadResult:
 
 
 def head_reduce(t: Term, fuel: Fuel = DEFAULT_FUEL) -> HeadResult:
-    """Head-reduce t until head normal form or the fuel runs out.
-    The trace length is the head-reduction length between the endpoints.
-
-    The reduction runs on a machine state (binders, head, spine) in the
-    manner of Krivine ("A call-by-name lambda-calculus machine", HOSC 20,
-    2007): a step contracts the head abstraction with the first argument on
-    the spine and leaves the rest of the spine and the binders as they are,
-    so it costs the redex body, not the length of the spine.  Each step is
-    recorded as its state; the trace builds terms from those only when they
-    are read.  When the fuel runs out the machine only tests for head normal
-    form, and contracts nothing more.
+    """Head-reduce t until head normal form or the fuel runs out, on the
+    machine (see above).  The trace length is the head-reduction length
+    between the endpoints; each step is recorded as its state.  When the
+    fuel runs out the machine only tests for head normal form.
     """
     max_steps = fuel.max_steps
     steps: list = []
@@ -486,8 +477,8 @@ def head_reduce(t: Term, fuel: Fuel = DEFAULT_FUEL) -> HeadResult:
     while type(head) is Lam:
         if len(steps) == max_steps:
             return HeadResult(HeadTrace(t, steps), False)
-        node, spine = spine
-        head = substitute(head.body, head.binder, node.arg)
+        arg, _, spine = spine
+        head, spine = _contract(head, arg, spine)
         steps.append((binders, head, spine))
         binders, head, spine = _unwind(head, binders, spine)
     return HeadResult(HeadTrace(t, steps), True)

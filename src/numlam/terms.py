@@ -42,12 +42,11 @@ _SETS: dict[frozenset[str], frozenset[str]] = {}
 
 
 # The three node classes keep the frozen dataclass's ==, hash, repr and
-# FrozenInstanceError, but not its generated __init__, which
-# stores each field through object.__setattr__: a hand-written one stores
-# through the slot descriptors (taken below the classes), about twice as
-# fast, and every substitution and reduction step builds nodes.  Each class
-# has an `_fv` field, its free variables, kept out of ==, hash, repr and
-# __match_args__, and a __reduce__ that rebuilds it through __init__.
+# FrozenInstanceError, but their hand-written __init__ stores through the
+# slot descriptors (taken below the classes), about twice as fast as the
+# generated one.  Each class has an `_fv` field, its free variables, kept
+# out of ==, hash, repr and __match_args__, and a __reduce__ that rebuilds
+# it through __init__.
 
 @dataclass(frozen=True, slots=True, init=False)
 class Var:
@@ -295,21 +294,23 @@ def substitute(t: Term, s: Substitution) -> Term:
     Bound variables are renamed (by appending primes) only when a
     replacement would otherwise be captured, so output is deterministic.
     A subtree in which no substituted name is free is shared with the
-    input, without a walk.  One binding goes to `substitute_one`.
+    input, without a walk: both walks here call themselves only on the
+    children that hold a substituted name, and put the replacement in
+    place of a child that is such a variable without a call.  One binding
+    goes to `substitute_one`.
     """
     if len(s) == 1:
         ((x, arg),) = s.items()
         return substitute_one(t, x, arg)
+    if t._fv.isdisjoint(s):
+        return t
     fvs = {k: v._fv for k, v in s.items()}
     return _substitute_many(t, dict(s), fvs, frozenset().union(*fvs.values()))
 
 
 def substitute_one(node: Term, x: str, arg: Term) -> Term:
-    """node[x := arg], the substitution of a beta contraction.
-
-    A walk of its own that calls itself only on the children in whose free
-    variables x is, and puts arg in place of a child that is the variable x
-    without a call.  At the first binder that arg would be captured by, it
+    """node[x := arg], the substitution of a beta contraction, with no map
+    built for it.  At the first binder that arg would be captured by, it
     hands that subtree to the simultaneous walk, which is then in exactly
     the state it would have reached there by itself, so both walks give the
     same terms, binder names and shared nodes.
@@ -342,26 +343,31 @@ def substitute_one(node: Term, x: str, arg: Term) -> Term:
 
 
 def _substitute_many(node: Term, m: dict[str, Term], mfvs, mrisk) -> Term:
-    """node[m], where mfvs maps each name of m to its replacement's free
-    variables and mrisk is the union of those sets."""
-    fv = node._fv
-    if fv.isdisjoint(m):
-        return node
+    """node[m], for a node that holds a name of m; mfvs maps each name of m
+    to its replacement's free variables and mrisk is the union of those
+    sets."""
     cls = type(node)
+    if cls is App:
+        fn = node.fn
+        a = node.arg
+        if not fn._fv.isdisjoint(m):
+            fn = m[fn.name] if type(fn) is Var else _substitute_many(fn, m, mfvs, mrisk)
+        if not a._fv.isdisjoint(m):
+            a = m[a.name] if type(a) is Var else _substitute_many(a, m, mfvs, mrisk)
+        if fn is node.fn and a is node.arg:
+            return node
+        return App(fn, a)
     if cls is Var:
         return m[node.name]
-    if cls is App:
-        fn = _substitute_many(node.fn, m, mfvs, mrisk)
-        arg = _substitute_many(node.arg, m, mfvs, mrisk)
-        if fn is node.fn and arg is node.arg:
-            return node
-        return App(fn, arg)
+    # A name of m that node holds is not its binder, so the body holds a
+    # name of the map it is walked with.
     x = node.binder
+    body = node.body
     m2 = m
     if x in m2:
         m2 = {k: v for k, v in m2.items() if k != x}
-    if x in mrisk and any(x in mfvs[k] for k in m2 if k in fv):
-        occurs = node.body._fv
+    if x in mrisk and any(x in mfvs[k] for k in m2 if k in node._fv):
+        occurs = body._fv
         avoid = set(occurs)
         for k in m2:
             if k in occurs:
@@ -371,9 +377,10 @@ def _substitute_many(node: Term, m: dict[str, Term], mfvs, mrisk) -> Term:
         m3[x] = Var(fresh)
         fvs3 = dict(mfvs)
         fvs3[x] = {fresh}
-        body = _substitute_many(node.body, m3, fvs3, mrisk | {fresh})
-        return Lam(fresh, body)
-    body = _substitute_many(node.body, m2, mfvs, mrisk)
-    if body is node.body:
+        if type(body) is Var:
+            return Lam(fresh, m3[body.name])
+        return Lam(fresh, _substitute_many(body, m3, fvs3, mrisk | {fresh}))
+    new = m2[body.name] if type(body) is Var else _substitute_many(body, m2, mfvs, mrisk)
+    if new is body:
         return node
-    return Lam(x, body)
+    return Lam(x, new)

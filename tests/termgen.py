@@ -199,6 +199,58 @@ def random_spine_term(rng: random.Random, marked: tuple, depth: int = 2, scope=(
     return body
 
 
+def random_spine_redex(rng: random.Random) -> Term:
+    """A redex (λx.B) N whose body B is a long application spine
+    h A1 … Am, for the machine's contraction, which pushes the arguments
+    of B's left spine while x is free in the application.  The spine is
+    made of segments whose arguments all hold x or all do not, so one
+    contraction pushes some arguments and leaves the applications below
+    the first one without x as they are.  The head h is x, another
+    variable or an abstraction, which may hold x; N is a variable, a
+    small closed term that may take the pushed arguments in turn, or a
+    term with redexes.  The redex is applied to further arguments, put
+    under binders and sometimes in argument position."""
+    x = rng.choice(BINDER_POOL)
+    outer = tuple(rng.choice(BINDER_POOL) for _ in range(rng.randint(0, 2)))
+    # Names other than x, so that an argument drawn from them lacks x.
+    others = tuple(n for n in outer + FREE_POOL if n != x)
+    roll = rng.random()
+    if roll < 0.4:
+        body: Term = Var(x)
+    elif roll < 0.6:
+        body = Var(rng.choice(others))
+    else:
+        name = rng.choice(BINDER_POOL)
+        body = Lam(name, random_term(rng, rng.randint(1, 6), (x, name) + others))
+    for _ in range(rng.randint(1, 4)):
+        holds_x = rng.random() < 0.6
+        for _ in range(rng.randint(1, 3)):
+            if not holds_x:
+                arg = random_term(rng, rng.randint(1, 5), others, ())
+            elif rng.random() < 0.5:
+                arg = Var(x)
+            else:
+                arg = random_term(rng, rng.randint(1, 5), (x,) + others, ())
+                if x not in free_vars(arg):
+                    arg = App(arg, Var(x))
+            body = App(body, arg)
+    roll = rng.random()
+    if roll < 0.3:
+        value: Term = Var(rng.choice(others))
+    elif roll < 0.75:
+        value = random_closed_term(rng, rng.randint(2, 7))
+    else:
+        value = beta_expand(random_term(rng, rng.randint(1, 6), others, ()), rng, 1)
+    t: Term = App(Lam(x, body), value)
+    for _ in range(rng.randint(0, 2)):
+        t = App(t, random_term(rng, rng.randint(1, 5), outer))
+    if rng.random() < 0.3:
+        t = App(Var(rng.choice(others)), t)
+    for b in reversed(outer):
+        t = Lam(b, t)
+    return t
+
+
 # ---------------------------------------------------------------------------
 # The free-variable caches
 

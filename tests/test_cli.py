@@ -16,14 +16,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(*argv):
-    """Run the CLI in a new interpreter.  tests/conftest.py raises the
-    recursion limit of this process; the new one keeps Python's default."""
+def run_fresh(*argv, python=("-m", "numlam.cli")):
+    """Run the CLI, or other `python` arguments, in a new interpreter.
+    tests/conftest.py raises the recursion limit of this process; the new
+    one keeps Python's default."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "numlam.cli", *argv],
+        [sys.executable, *python, *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -263,6 +264,31 @@ def test_eval_too_deep_for_the_engine_is_one_line():
     body = r"\f.\x." + "f (" * 2_999 + "f y" + ")" * 2_999
     code, out, err = run_fresh("eval", "(\\y." + body + r") (\u.u)")
     assert (code, out, err) == (1, "", "term nests too deep for the engine\n")
+
+
+# Long left spines: a contraction pushes the arguments of its contractum's
+# left spine onto the machine's spine, without recursion.
+TILDE_DEEP_CASES = """
+from numlam import F, app, builtin_system
+from numlam.report import eq_case
+tilde = builtin_system("tilde")
+d = tilde.numeral
+for label, lhs, rhs in (
+    ("P", app(tilde.predecessor, d(1501)), d(1500)),
+    ("S", app(tilde.successor, d(1500)), d(1501)),
+    ("Z", app(tilde.zero_test, d(1500)), F),
+):
+    case = eq_case(label, lhs, rhs)
+    print(label, case.verdict, case.steps)
+"""
+
+
+def test_long_left_spines_at_the_default_recursion_limit():
+    code, out, err = run_fresh("eval", "(\\y." + " ".join(["y"] * 3_000) + r") (\u.u)")
+    assert (code, out, err) == (0, "\\u.u\nsteps: 3000 beta, 0 eta\n", "")
+    code, out, err = run_fresh(python=("-c", TILDE_DEEP_CASES))
+    assert code == 0, err
+    assert out.splitlines() == ["P Equal 7511", "S Equal 2", "Z Equal 3006"]
 
 
 def test_check_with_no_cases_is_inconclusive(capsys):

@@ -5,8 +5,9 @@ Every node is built with its free variables, one object per set,
 substitutes one name on a walk of its own, `beta_normalize` reduces in one
 pass instead of searching again from the root after every step, the
 reductions mark the closed normal forms they return and walk past marked
-ones, and `head_reduce` runs on a machine state and builds the terms of
-its trace only when they are read.  None of these may change a result:
+ones, a contraction pushes the arguments of its contractum's left spine
+onto the machine's spine, and `head_reduce` runs on a machine state and
+builds the terms of its trace only when they are read.  None of these may change a result:
 every term must come out structurally equal to the oracle's, with the same
 binder names, and every step count must be the same, at every fuel.
 `alpha_eq`, one walk over both terms in step, must agree with
@@ -59,6 +60,7 @@ from termgen import (
     positions,
     random_closed_term,
     random_hnf,
+    random_spine_redex,
     random_spine_term,
     random_term,
     rename_bound,
@@ -436,6 +438,30 @@ def test_fuel_ladder_matches_oracle_on_spine_terms():
     assert lengths.count(0) > 10
     assert sum(1 for n in lengths if n and n > 3) > 50
     assert all(is_marked(d) for d in marked)
+
+
+def test_contracting_onto_the_spine_matches_oracle():
+    """A contraction pushes the arguments of the contractum's left spine
+    onto the machine's spine as bare arguments, above the entries that
+    still hold their applications, and the machine rebuilds an application
+    for a bare one.  Over redexes whose bodies mix both kinds of entry on
+    one spine, beta_normalize gives the oracle's partial term and steps,
+    and head_reduce its states, at every fuel up to the normal form, and a
+    normal input comes back as the same object."""
+    rng = random.Random(1209)
+    lengths = []
+    for _ in range(300):
+        t = random_spine_redex(rng)
+        steps = assert_fuel_ladder(t, 60)
+        lengths.append(steps)
+        assert_head_ladder(t, 60)
+        if steps is not None:
+            normal = beta_normalize(t).term
+            assert beta_normalize(normal).term is normal
+            result = head_reduce(normal)
+            assert result.reached_hnf and result.trace.final is normal
+    assert sum(1 for n in lengths if n is not None and n > 2) > 150
+    assert lengths.count(None) < 30
 
 
 def test_marked_arguments_come_back_as_themselves():

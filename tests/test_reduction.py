@@ -33,7 +33,7 @@ from numlam import (
     substitute,
     tilde_numeral,
 )
-from numlam import reduction
+from numlam import reduction, terms
 from numlam.terms import _BETA_ETA_NORMAL
 from termgen import beta_expand, random_closed_term, random_hnf, random_term
 
@@ -267,29 +267,84 @@ def test_solvable():
     assert not head_reduce(OMEGA, Fuel(100)).reached_hnf
 
 
-def test_each_step_is_one_call_of_the_name_the_benchmark_wraps(monkeypatch):
-    """bench/spans.py counts and times contractions by wrapping
-    `numlam.reduction.substitute`: each beta step of `beta_normalize` and
-    each head step of `head_reduce` must be exactly one call of it."""
+def subterms(t):
+    """The distinct nodes of t, by identity."""
+    seen = {}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if type(node) is Lam:
+                stack.append(node.body)
+            elif type(node) is App:
+                stack += (node.fn, node.arg)
+    return seen
+
+
+def test_substitution_goes_through_the_name_the_benchmark_wraps(monkeypatch):
+    """bench/spans.py counts and times substitution by wrapping
+    `numlam.reduction.substitute`, so all substitution work of
+    `beta_normalize` and `head_reduce` must go through that name.  A call
+    substitutes into a part of a redex body that holds the bound name and
+    is not a variable: a step whose bound name occurs only as variables on
+    the body's left spine makes no call."""
     calls = []
+    results = []
+    inside = [0]
     contract = reduction.substitute
 
-    def counting(*args):
-        calls.append(args)
-        return contract(*args)
+    def counting(node, x, arg):
+        calls.append((node, x, arg))
+        inside[0] += 1
+        try:
+            result = contract(node, x, arg)
+        finally:
+            inside[0] -= 1
+        results.append(result)
+        return result
+
+    def only_inside(walk):
+        def guarded(*args):
+            assert inside[0], "a substitution outside reduction.substitute"
+            return walk(*args)
+        return guarded
 
     monkeypatch.setattr(reduction, "substitute", counting)
+    monkeypatch.setattr(terms, "substitute_one", only_inside(terms.substitute_one))
+    monkeypatch.setattr(terms, "_substitute_many", only_inside(terms._substitute_many))
     cases = (
         app(church_k_term(), church(3), church(2)),
         app(builtin_system("church").predecessor, church(5)),
     )
+    counts = []
     for t in cases:
         calls.clear()
+        results.clear()
         out = beta_normalize(t)
-        assert out.steps > 10 and len(calls) == out.steps
+        # Every redex abstraction is a node of t or of a call's result.
+        bodies = {}
+        for root in [t] + results:
+            for key, node in subterms(root).items():
+                if type(node) is Lam and key not in bodies:
+                    bodies[key] = (node.binder, subterms(node.body))
+        for node, x, arg in calls:
+            assert type(node) is not Var and x in free_vars(node)
+            assert any(b == x and id(node) in ids for b, ids in bodies.values())
+        counts.append((out.steps, len(calls)))
     calls.clear()
     result = head_reduce(parse_term(r"(\x.x x x)(\x.x x x)"), Fuel(1000))
-    assert not result.reached_hnf and result.trace.length == 1000 == len(calls)
+    assert not result.reached_hnf and result.trace.length == 1000
+    counts.append((result.trace.length, len(calls)))
+    assert counts == [(98, 47), (38, 22), (1000, 0)]
+
+    def refuse(*args):
+        raise RuntimeError("reduction.substitute")
+
+    monkeypatch.setattr(reduction, "substitute", refuse)
+    for t in cases:
+        with pytest.raises(RuntimeError, match="reduction.substitute"):
+            beta_normalize(t)
 
 
 # ---------------------------------------------------------------------------
