@@ -9,16 +9,11 @@ means fuel ran out and is never collapsed to a definite answer.
 
 Beta-normalization and head reduction run on the machine described below.
 
-A closed abstraction found beta-eta-normal is marked so in its set of free
-variables (see `terms`).  When the eta pass contracts inside a closed
-abstraction, it leaves there the other mark, an `_EtaForm` that holds the
-eta-normal form and the contraction count.  Every pass and scan here takes
-a marked abstraction as a normal leaf and does not walk into it: the eta
-pass puts in the stored form and adds the stored count.  So a numeral that
-one check has normalized costs the next check nothing, and neither do the
-marked numerals nested inside a new one.  The beta pass also notes whether
-its normal form may hold an eta-redex, and when it cannot,
-`beta_eta_normalize` makes no eta pass.
+The passes mark the closed normal abstractions they meet (see `terms`) and
+take a marked one as a normal leaf, so a numeral that one check has
+normalized costs the next check nothing: the eta pass puts in the form an
+`_EtaForm` mark holds and adds its count.  When the beta pass sees that its
+normal form holds no eta-redex, `beta_eta_normalize` makes no eta pass.
 """
 
 from __future__ import annotations
@@ -94,7 +89,11 @@ ReductionOutcome = Normal | OutOfFuel
 # arguments of the contractum's left spine, so a step costs the redex body,
 # not the spine, and builds no application for the next step to take
 # apart.  A part of a state that no step has changed rebuilds to the very
-# nodes it was read from.
+# nodes it was read from.  Where closed arguments meet a chain of
+# abstractions λx1…λxk.B, the beta pass pops them all and contracts once
+# with the map {x1: a1, …, xk: ak}, a later binder of a name replacing an
+# earlier one: a closed argument is never captured, so the one walk renames
+# nothing and gives the term of the k single steps, which it counts.
 
 
 def _state_term(binders, head: Term, spine) -> Term:
@@ -113,8 +112,8 @@ def _contract(lam: Lam, arg: Term, spine):
     """Contract (lam arg) in front of spine: the contractum's head, and the
     spine with the arguments of the body's left spine pushed, down to the
     first application without the bound name x.  Each argument and the head
-    is arg if it is x, goes through `terms.substitute_one` if it holds x,
-    and stays as it is otherwise."""
+    is arg if it is x, goes through `substitute` if it holds x, and stays
+    as it is otherwise."""
     x = lam.binder
     body = lam.body
     while type(body) is App and x in body._fv:
@@ -138,8 +137,8 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     the partial term and the step count are those of that many single steps
     from the root, so `beta_normalize(t, Fuel(1))` is one step.  A normal t
     comes back as the same object, and subtrees the reduction leaves
-    unchanged are shared with t.  The pass does not recurse; the one-binding
-    walk recurses into the parts of a contractum that hold the bound name.
+    unchanged are shared with t.  The pass does not recurse; the
+    substitution walks recurse into the arguments of a contractum's spines.
     A marked abstraction (see `terms`) is a normal leaf, though it is still
     contracted when applied.
 
@@ -148,7 +147,9 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     term to λb1…λbk.(x V1 … Vm), then normalizes V1 to Vm left to right,
     each on a machine of its own, kept on a stack of levels.  A finished
     argument goes back into its application, which is reused when nothing
-    in it changed and built when a contraction pushed the argument.
+    in it changed and built when a contraction pushed the argument.  A run
+    of closed arguments meeting a chain of abstractions is contracted in
+    one walk with a map, as far as the fuel goes.
     """
     return _beta_pass(t, fuel)[0]
 
@@ -186,6 +187,28 @@ def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
                 arg, _, spine = spine
                 x = head.binder
                 head = head.body
+                steps += 1
+                if (not arg._fv and type(head) is Lam and spine is not None
+                        and not spine[0]._fv and steps < max_steps):
+                    # A chain of closed arguments: one walk with the map.
+                    m = {x: arg}
+                    while True:
+                        arg, _, spine = spine
+                        m[head.binder] = arg
+                        head = head.body
+                        steps += 1
+                        if (type(head) is not Lam or spine is None
+                                or spine[0]._fv or steps == max_steps):
+                            break
+                    while type(head) is App and not head._fv.isdisjoint(m):
+                        a = head.arg
+                        if not a._fv.isdisjoint(m):
+                            a = m[a.name] if type(a) is Var else substitute(a, m)
+                        spine = (a, None, spine)
+                        head = head.fn
+                    if not head._fv.isdisjoint(m):
+                        head = m[head.name] if type(head) is Var else substitute(head, m)
+                    continue
                 while type(head) is App and x in head._fv:
                     a = head.arg
                     if x in a._fv:
@@ -194,7 +217,6 @@ def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
                     head = head.fn
                 if x in head._fv:
                     head = arg if type(head) is Var else substitute(head, x, arg)
-                steps += 1
                 continue
             fv = head._fv
             # A plain set is no mark: every mark is of a subclass.

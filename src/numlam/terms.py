@@ -308,28 +308,39 @@ def substitute(t: Term, s: Substitution) -> Term:
     return _substitute_many(t, dict(s), fvs, frozenset().union(*fvs.values()))
 
 
-def substitute_one(node: Term, x: str, arg: Term) -> Term:
+def substitute_one(node: Term, x: str | dict[str, Term], arg: Term | None = None) -> Term:
     """node[x := arg], the substitution of a beta contraction, with no map
-    built for it.  At the first binder that arg would be captured by, it
-    hands that subtree to the simultaneous walk, which is then in exactly
-    the state it would have reached there by itself, so both walks give the
-    same terms, binder names and shared nodes.
+    built for it; with no arg, node[x] for a map x of names to closed terms
+    that node holds one of, which renames nothing.  At the first binder that
+    arg would be captured by, it hands that subtree to the simultaneous
+    walk, which is then in exactly the state it would have reached there by
+    itself, so both walks give the same terms, binder names and shared
+    nodes.  Both walks loop down a left spine, recursing into its arguments
+    and its head.
     """
+    if arg is None:
+        return _substitute_many(node, x, None, _NO_NAMES)
     if x not in node._fv:
         return node
     # Exact class tests: the hot path, and Var, Lam and App have no
     # subclasses.  A child with x free that is a Var is Var(x).
     cls = type(node)
     if cls is App:
+        up = None
+        while type(node.fn) is App and x in node.fn._fv:
+            up = (node, up)
+            node = node.fn
         fn = node.fn
-        a = node.arg
         if x in fn._fv:
             fn = arg if type(fn) is Var else substitute_one(fn, x, arg)
-        if x in a._fv:
-            a = arg if type(a) is Var else substitute_one(a, x, arg)
-        if fn is node.fn and a is node.arg:
-            return node
-        return App(fn, a)
+        while True:
+            a = node.arg
+            if x in a._fv:
+                a = arg if type(a) is Var else substitute_one(a, x, arg)
+            fn = node if fn is node.fn and a is node.arg else App(fn, a)
+            if up is None:
+                return fn
+            node, up = up
     if cls is Var:
         return arg
     b = node.binder
@@ -345,18 +356,24 @@ def substitute_one(node: Term, x: str, arg: Term) -> Term:
 def _substitute_many(node: Term, m: dict[str, Term], mfvs, mrisk) -> Term:
     """node[m], for a node that holds a name of m; mfvs maps each name of m
     to its replacement's free variables and mrisk is the union of those
-    sets."""
+    sets.  When mrisk is empty nothing is renamed and mfvs is not read."""
     cls = type(node)
     if cls is App:
+        up = None
+        while type(node.fn) is App and not node.fn._fv.isdisjoint(m):
+            up = (node, up)
+            node = node.fn
         fn = node.fn
-        a = node.arg
         if not fn._fv.isdisjoint(m):
             fn = m[fn.name] if type(fn) is Var else _substitute_many(fn, m, mfvs, mrisk)
-        if not a._fv.isdisjoint(m):
-            a = m[a.name] if type(a) is Var else _substitute_many(a, m, mfvs, mrisk)
-        if fn is node.fn and a is node.arg:
-            return node
-        return App(fn, a)
+        while True:
+            a = node.arg
+            if not a._fv.isdisjoint(m):
+                a = m[a.name] if type(a) is Var else _substitute_many(a, m, mfvs, mrisk)
+            fn = node if fn is node.fn and a is node.arg else App(fn, a)
+            if up is None:
+                return fn
+            node, up = up
     if cls is Var:
         return m[node.name]
     # A name of m that node holds is not its binder, so the body holds a

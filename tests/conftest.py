@@ -1,8 +1,8 @@
 import sys
 
-# The two substitution walks and the dataclass-made == and hash of terms
-# still recurse on term depth; the machines call the walks on the arguments
-# and head of a contractum's left spine, not along it.  free_vars reads the
+# The two substitution walks still recurse into arguments and the bodies of
+# abstractions, though they loop down a left spine, and the dataclass-made
+# == and hash of terms recurse on term depth.  free_vars reads the
 # set each node is built with, and normal-order beta reduction, head
 # reduction, the eta pass, alpha_eq, the parser and pretty do not recurse;
 # tests/test_terms.py, tests/test_reduction.py, tests/test_differential.py

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import oracle
-from numlam import App, Lam, Term, Var, free_vars
+from numlam import App, Lam, Term, Var, free_vars, parse_term
 from numlam.terms import _BETA_ETA_NORMAL, _NO_NAMES, _SETS, _EtaForm
 
 BINDER_POOL = ("x", "y", "z", "f", "g", "x'", "_v1")
@@ -249,6 +249,64 @@ def random_spine_redex(rng: random.Random) -> Term:
     for b in reversed(outer):
         t = Lam(b, t)
     return t
+
+
+def random_chain_redex(rng: random.Random, marked: tuple) -> Term:
+    """A curried application (λx1…λxk.B) A1 … An with n fewer than, as
+    many as or more than k, for the beta pass, which contracts a run of
+    closed arguments meeting a chain of abstractions in one walk.  Binder
+    names repeat, sometimes side by side (λx.λx.B), so a later binder
+    shadows an earlier one; B is a spine whose head and arguments draw on
+    the binders.  Most arguments are closed: a Church numeral or a
+    combinator, one of the `marked` closed normal abstractions or a random
+    closed term.  The others are open, often a free name equal to a binder
+    of the chain, which forces the one-binding walk to rename.  The redex
+    is sometimes put under binders or in argument position."""
+    k = rng.randint(1, 4)
+    binders = [rng.choice(BINDER_POOL) for _ in range(k)]
+    if k > 1 and rng.random() < 0.3:
+        j = rng.randrange(1, k)
+        binders[j] = binders[j - 1]
+    scope = tuple(binders)
+    body: Term = Var(rng.choice(scope + FREE_POOL))
+    if rng.random() < 0.3:
+        name = rng.choice(BINDER_POOL)
+        body = Lam(name, random_term(rng, rng.randint(1, 6), scope + (name,)))
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.4:
+            arg: Term = Var(rng.choice(scope))
+        else:
+            arg = random_term(rng, rng.randint(1, 6), scope)
+        body = App(body, arg)
+    t: Term = body
+    for b in reversed(binders):
+        t = Lam(b, t)
+    for _ in range(max(1, k + rng.randint(-2, 2))):
+        roll = rng.random()
+        if roll < 0.35:
+            arg = parse_term(rng.choice(CLOSED_TEXTS))
+        elif roll < 0.55:
+            arg = rng.choice(marked)
+        elif roll < 0.75:
+            arg = random_closed_term(rng, rng.randint(2, 7))
+        elif roll < 0.9:
+            arg = Var(rng.choice(scope))
+        else:
+            arg = random_term(rng, rng.randint(1, 5), (), scope + FREE_POOL)
+        t = App(t, arg)
+    if rng.random() < 0.2:
+        t = App(Var(rng.choice(FREE_POOL)), t)
+    if rng.random() < 0.3:
+        t = Lam(rng.choice(BINDER_POOL), t)
+    return t
+
+
+# Closed arguments as text, so that each parse builds unmarked nodes: Church
+# 0, 1 and 3, I, K, K* (which drops its first argument) and S.
+CLOSED_TEXTS = (
+    r"\f.\x.x", r"\f.\x.f x", r"\f.\x.f (f (f x))",
+    r"\x.x", r"\x.\y.x", r"\x.\y.y", r"\x.\y.\z.x z (y z)",
+)
 
 
 # ---------------------------------------------------------------------------

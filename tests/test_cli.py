@@ -267,7 +267,8 @@ def test_eval_too_deep_for_the_engine_is_one_line():
 
 
 # Long left spines: a contraction pushes the arguments of its contractum's
-# left spine onto the machine's spine, without recursion.
+# left spine onto the machine's spine, and the substitution walks loop down
+# a left spine below it, without recursion.
 TILDE_DEEP_CASES = """
 from numlam import F, app, builtin_system
 from numlam.report import eq_case
@@ -286,6 +287,9 @@ for label, lhs, rhs in (
 def test_long_left_spines_at_the_default_recursion_limit():
     code, out, err = run_fresh("eval", "(\\y." + " ".join(["y"] * 3_000) + r") (\u.u)")
     assert (code, out, err) == (0, "\\u.u\nsteps: 3000 beta, 0 eta\n", "")
+    code, out, err = run_fresh("eval", "(\\y.\\z.z " + " ".join(["y"] * 3_000) + r") (\u.u)")
+    assert (code, err) == (0, "")
+    assert out == "\\z.z" + r" (\u.u)" * 3_000 + "\nsteps: 1 beta, 0 eta\n"
     code, out, err = run_fresh(python=("-c", TILDE_DEEP_CASES))
     assert code == 0, err
     assert out.splitlines() == ["P Equal 7511", "S Equal 2", "Z Equal 3006"]

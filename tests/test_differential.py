@@ -6,8 +6,10 @@ substitutes one name on a walk of its own, `beta_normalize` reduces in one
 pass instead of searching again from the root after every step, the
 reductions mark the closed normal forms they return and walk past marked
 ones, a contraction pushes the arguments of its contractum's left spine
-onto the machine's spine, and `head_reduce` runs on a machine state and
-builds the terms of its trace only when they are read.  None of these may change a result:
+onto the machine's spine, a run of closed arguments meeting a chain of
+abstractions is substituted with one map, and `head_reduce` runs on a
+machine state and builds the terms of its trace only when they are read.
+None of these may change a result:
 every term must come out structurally equal to the oracle's, with the same
 binder names, and every step count must be the same, at every fuel.
 `alpha_eq`, one walk over both terms in step, must agree with
@@ -58,6 +60,7 @@ from termgen import (
     eta_expand,
     oracle_alpha_eq,
     positions,
+    random_chain_redex,
     random_closed_term,
     random_hnf,
     random_spine_redex,
@@ -67,7 +70,7 @@ from termgen import (
     replace_at,
     subterm_at,
 )
-from numlam import reduction
+from numlam import reduction, terms as numlam_terms
 from numlam.harness import _numerals
 from numlam.numerals import SequenceSpec
 from numlam.terms import _BETA_ETA_NORMAL, _NO_NAMES, _SETS, _EtaForm, substitute_one
@@ -462,6 +465,47 @@ def test_contracting_onto_the_spine_matches_oracle():
             assert result.reached_hnf and result.trace.final is normal
     assert sum(1 for n in lengths if n is not None and n > 2) > 150
     assert lengths.count(None) < 30
+
+
+def test_contracting_a_chain_of_closed_arguments_matches_oracle(monkeypatch):
+    """When closed arguments meet a chain of abstractions, the beta pass
+    pops them all and substitutes them with one map, a later binder of a
+    name replacing an earlier one; an open argument takes the one-binding
+    walk, which renames a binder its free names would be caught by.  Over
+    chains applied to fewer, as many or more arguments than binders, with
+    repeated binder names, beta_normalize gives the oracle's partial term
+    and steps at every fuel, so also where the fuel cuts a chain short,
+    every result has sound caches and a normal input comes back as the
+    same object."""
+    maps = []
+    renames = []
+    contract = reduction.substitute
+    many = numlam_terms._substitute_many
+
+    def counting(*args):
+        if len(args) == 2:
+            maps.append(len(args[1]))
+        return contract(*args)
+
+    def renaming(node, m, mfvs, mrisk):
+        out = many(node, m, mfvs, mrisk)
+        if type(node) is Lam and out.binder != node.binder:
+            renames.append(node)
+        return out
+
+    monkeypatch.setattr(reduction, "substitute", counting)
+    monkeypatch.setattr(numlam_terms, "_substitute_many", renaming)
+    rng = random.Random(1931)
+    marked = marked_abstractions()
+    lengths = []
+    for _ in range(400):
+        t = random_chain_redex(rng, marked)
+        lengths.append(assert_fuel_ladder(t, 60))
+    assert sum(1 for n in lengths if n is not None and n > 2) > 150
+    assert lengths.count(None) < 20
+    # A map of one name comes of a binder that shadows the one before it.
+    assert len(maps) > 400 and maps.count(1) > 20 and maps.count(3) > 50
+    assert len(renames) > 50
 
 
 def test_marked_arguments_come_back_as_themselves():

@@ -286,19 +286,20 @@ def test_substitution_goes_through_the_name_the_benchmark_wraps(monkeypatch):
     """bench/spans.py counts and times substitution by wrapping
     `numlam.reduction.substitute`, so all substitution work of
     `beta_normalize` and `head_reduce` must go through that name.  A call
-    substitutes into a part of a redex body that holds the bound name and
-    is not a variable: a step whose bound name occurs only as variables on
-    the body's left spine makes no call."""
+    is (node, x, arg) for one binding or (node, m) for a map of names to
+    closed terms, and substitutes into a part of a redex body that holds a
+    substituted name and is not a variable: a step whose bound name occurs
+    only as variables on the body's left spine makes no call."""
     calls = []
     results = []
     inside = [0]
     contract = reduction.substitute
 
-    def counting(node, x, arg):
-        calls.append((node, x, arg))
+    def counting(*args):
+        calls.append(args)
         inside[0] += 1
         try:
-            result = contract(node, x, arg)
+            result = contract(*args)
         finally:
             inside[0] -= 1
         results.append(result)
@@ -328,15 +329,23 @@ def test_substitution_goes_through_the_name_the_benchmark_wraps(monkeypatch):
             for key, node in subterms(root).items():
                 if type(node) is Lam and key not in bodies:
                     bodies[key] = (node.binder, subterms(node.body))
-        for node, x, arg in calls:
-            assert type(node) is not Var and x in free_vars(node)
-            assert any(b == x and id(node) in ids for b, ids in bodies.values())
-        counts.append((out.steps, len(calls)))
+        maps = 0
+        for call in calls:
+            node = call[0]
+            if len(call) == 2:
+                names = set(call[1])
+                assert not any(free_vars(v) for v in call[1].values())
+                maps += 1
+            else:
+                names = {call[1]}
+            assert type(node) is not Var and names & free_vars(node)
+            assert any(b in names and id(node) in ids for b, ids in bodies.values())
+        counts.append((out.steps, len(calls), maps))
     calls.clear()
     result = head_reduce(parse_term(r"(\x.x x x)(\x.x x x)"), Fuel(1000))
     assert not result.reached_hnf and result.trace.length == 1000
-    counts.append((result.trace.length, len(calls)))
-    assert counts == [(98, 47), (38, 22), (1000, 0)]
+    counts.append((result.trace.length, len(calls), 0))
+    assert counts == [(98, 32, 29), (38, 21, 11), (1000, 0, 0)]
 
     def refuse(*args):
         raise RuntimeError("reduction.substitute")
