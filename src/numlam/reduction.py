@@ -19,9 +19,11 @@ normal form holds no eta-redex, `beta_eta_normalize` makes no eta pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .terms import (
     _BETA_ETA_NORMAL,
+    _NAME_SETS,
     _NO_NAMES,
     _EtaForm,
     App,
@@ -30,7 +32,7 @@ from .terms import (
     Var,
     _set_lam_fv,
     # Under this name so that bench/spans.py can wrap substitutions, until counters do.
-    substitute_one as substitute,
+    _substitute as substitute,
 )
 
 
@@ -85,15 +87,16 @@ ReductionOutcome = Normal | OutOfFuel
 #   spine     (arg, app, rest), the arguments of head, the first on top;
 #             app is the application of the term that holds arg, or None
 #             for an argument a contraction pushed.
-# A contraction (`_contract`) pops the first argument and pushes the
-# arguments of the contractum's left spine, so a step costs the redex body,
-# not the spine, and builds no application for the next step to take
-# apart.  A part of a state that no step has changed rebuilds to the very
-# nodes it was read from.  Where closed arguments meet a chain of
-# abstractions λx1…λxk.B, the beta pass pops them all and contracts once
-# with the map {x1: a1, …, xk: ak}, a later binder of a name replacing an
-# earlier one: a closed argument is never captured, so the one walk renames
-# nothing and gives the term of the k single steps, which it counts.
+# A contraction (`_contract`) substitutes a map from binders to the
+# arguments it popped, and pushes the arguments of the contractum's left
+# spine, so a step costs the redex body, not the spine, and builds no
+# application for the next step to take apart.  A part of a state that no
+# step has changed rebuilds to the very nodes it was read from.  The map
+# has one name, but where closed arguments meet a chain of abstractions
+# λx1…λxk.B, the beta pass pops them all into {x1: a1, …, xk: ak}, a later
+# binder of a name replacing an earlier one: a closed argument is never
+# captured, so the walk renames nothing and gives the term of the k single
+# steps, which the pass counts.
 
 
 def _state_term(binders, head: Term, spine) -> Term:
@@ -108,22 +111,21 @@ def _state_term(binders, head: Term, spine) -> Term:
     return head
 
 
-def _contract(lam: Lam, arg: Term, spine):
-    """Contract (lam arg) in front of spine: the contractum's head, and the
-    spine with the arguments of the body's left spine pushed, down to the
-    first application without the bound name x.  Each argument and the head
-    is arg if it is x, goes through `substitute` if it holds x, and stays
-    as it is otherwise."""
-    x = lam.binder
-    body = lam.body
-    while type(body) is App and x in body._fv:
+def _contract(body: Term, m: dict[str, Term], names: frozenset[str], risk: frozenset[str], spine):
+    """Contract a redex whose abstractions bind the names of m, with the
+    names and risk of `substitute`, in front of spine: the head of body[m],
+    and the spine with the arguments of body's left spine pushed, down to
+    the first application without a name of m.  Each argument and the head
+    is a replacement if it is a name of m, goes through `substitute` if it
+    holds one, and stays as it is otherwise."""
+    while type(body) is App and not body._fv.isdisjoint(names):
         a = body.arg
-        if x in a._fv:
-            a = arg if type(a) is Var else substitute(a, x, arg)
+        if not a._fv.isdisjoint(names):
+            a = m[a.name] if type(a) is Var else substitute(a, m, names, risk)
         spine = (a, None, spine)
         body = body.fn
-    if x in body._fv:
-        body = arg if type(body) is Var else substitute(body, x, arg)
+    if not body._fv.isdisjoint(names):
+        body = m[body.name] if type(body) is Var else substitute(body, m, names, risk)
     return body, spine
 
 
@@ -138,7 +140,7 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     from the root, so `beta_normalize(t, Fuel(1))` is one step.  A normal t
     comes back as the same object, and subtrees the reduction leaves
     unchanged are shared with t.  The pass does not recurse; the
-    substitution walks recurse into the arguments of a contractum's spines.
+    substitution walk recurses into the arguments of a contractum's spines.
     A marked abstraction (see `terms`) is a normal leaf, though it is still
     contracted when applied.
 
@@ -167,9 +169,9 @@ def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
     levels: list = []
     binders = spine = None
     head = t
-    # The unwinding, the contraction (`_contract`) and the rebuilding of a
-    # finished level are written out in this loop rather than called: a call
-    # per move costs a measurable share of the pass.
+    # The unwinding and the rebuilding of a finished level are written out
+    # in this loop rather than called: a call per move costs a measurable
+    # share of the pass.
     while True:
         # Exact class tests, as in terms: Var, Lam and App have no subclasses.
         cls = type(head)
@@ -188,35 +190,20 @@ def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
                 x = head.binder
                 head = head.body
                 steps += 1
-                if (not arg._fv and type(head) is Lam and spine is not None
-                        and not spine[0]._fv and steps < max_steps):
-                    # A chain of closed arguments: one walk with the map.
-                    m = {x: arg}
-                    while True:
+                m = {x: arg}
+                risk = arg._fv
+                if not risk:
+                    # Closed arguments meeting a chain of abstractions go
+                    # into the map of one contraction.
+                    while (type(head) is Lam and spine is not None
+                            and not spine[0]._fv and steps < max_steps):
                         arg, _, spine = spine
                         m[head.binder] = arg
                         head = head.body
                         steps += 1
-                        if (type(head) is not Lam or spine is None
-                                or spine[0]._fv or steps == max_steps):
-                            break
-                    while type(head) is App and not head._fv.isdisjoint(m):
-                        a = head.arg
-                        if not a._fv.isdisjoint(m):
-                            a = m[a.name] if type(a) is Var else substitute(a, m)
-                        spine = (a, None, spine)
-                        head = head.fn
-                    if not head._fv.isdisjoint(m):
-                        head = m[head.name] if type(head) is Var else substitute(head, m)
-                    continue
-                while type(head) is App and x in head._fv:
-                    a = head.arg
-                    if x in a._fv:
-                        a = arg if type(a) is Var else substitute(a, x, arg)
-                    spine = (a, None, spine)
-                    head = head.fn
-                if x in head._fv:
-                    head = arg if type(head) is Var else substitute(head, x, arg)
+                # A binder with no one-name set occurs nowhere: no names.
+                names = frozenset(m) if len(m) > 1 else _NAME_SETS.get(x, _NO_NAMES)
+                head, spine = _contract(head, m, names, risk, spine)
                 continue
             fv = head._fv
             # A plain set is no mark: every mark is of a subclass.
@@ -427,57 +414,52 @@ def unknown(reason: str) -> EqVerdict:
 # ---------------------------------------------------------------------------
 # Head reduction
 
-def _unwind(head: Term, binders, spine):
-    """Make the machine's moves that contract nothing: an application head
-    goes onto the spine, an abstraction with no argument onto the binders.
-    Stops at a variable head, which is head normal form, or at an
-    abstraction with an argument, the head redex."""
+def _head_states(t: Term):
+    """The states of head-reducing t on the machine, t's first, each
+    unwound: an application head goes onto the spine and an abstraction
+    with no argument onto the binders, so the head is a redex exactly when
+    it is an abstraction.  They end at head normal form."""
+    binders = spine = None
+    head = t
     while True:
-        cls = type(head)
-        if cls is App:
+        if type(head) is App:
             spine = (head.arg, head, spine)
             head = head.fn
-        elif cls is Lam and spine is None:
+        elif type(head) is Lam and spine is None:
             binders = (head, binders)
             head = head.body
         else:
-            return binders, head, spine
+            yield binders, head, spine
+            if type(head) is not Lam:
+                return
+            arg, _, spine = spine
+            x = head.binder
+            names = _NAME_SETS.get(x, _NO_NAMES)
+            head, spine = _contract(head.body, {x: arg}, names, arg._fv, spine)
 
 
 class HeadTrace:
     """Successive states of a head reduction; length is the step count.
 
-    The reduction records each step as its machine state, not as a term.
-    `states` builds the terms on first read and keeps them; states[0] is the
-    reduced term itself.  `final` builds only the last state.
+    The reduction keeps the reduced term, the step count and the final
+    term.  `states` replays the machine to build the terms between them on
+    first read, and keeps them; states[0] is the reduced term itself.
     """
 
-    __slots__ = ("_start", "_steps", "_final", "_states")
+    __slots__ = ("_start", "length", "final", "_states")
 
-    def __init__(self, start: Term, steps: list):
+    def __init__(self, start: Term, length: int, final: Term):
         self._start = start
-        self._steps = steps
-        self._final = None
+        self.length = length
+        self.final = final
         self._states = None
-
-    @property
-    def length(self) -> int:
-        return len(self._steps)
-
-    @property
-    def final(self) -> Term:
-        if self._final is None:
-            self._final = _state_term(*self._steps[-1]) if self._steps else self._start
-        return self._final
 
     @property
     def states(self) -> tuple[Term, ...]:
         if self._states is None:
-            built = [self._start]
-            built += (_state_term(*step) for step in self._steps[:-1])
-            if self._steps:
-                built.append(self.final)
-            self._states = tuple(built)
+            replay = islice(_head_states(self._start), 1, self.length)
+            middle = (_state_term(*state) for state in replay)
+            self._states = (self._start, *middle, self.final) if self.length else (self._start,)
         return self._states
 
 
@@ -490,17 +472,11 @@ class HeadResult:
 def head_reduce(t: Term, fuel: Fuel = DEFAULT_FUEL) -> HeadResult:
     """Head-reduce t until head normal form or the fuel runs out, on the
     machine (see above).  The trace length is the head-reduction length
-    between the endpoints; each step is recorded as its state.  When the
-    fuel runs out the machine only tests for head normal form.
+    between the endpoints.  When the fuel runs out the machine only tests
+    for head normal form.
     """
-    max_steps = fuel.max_steps
-    steps: list = []
-    binders, head, spine = _unwind(t, None, None)
-    while type(head) is Lam:
-        if len(steps) == max_steps:
-            return HeadResult(HeadTrace(t, steps), False)
-        arg, _, spine = spine
-        head, spine = _contract(head, arg, spine)
-        steps.append((binders, head, spine))
-        binders, head, spine = _unwind(head, binders, spine)
-    return HeadResult(HeadTrace(t, steps), True)
+    for length, state in enumerate(_head_states(t)):
+        if length == fuel.max_steps:
+            break
+    # With no step, the state rebuilds to t itself.
+    return HeadResult(HeadTrace(t, length, _state_term(*state)), type(state[1]) is not Lam)

@@ -18,9 +18,10 @@ count an `_EtaForm` holds.  The reductions set them on the closed normal
 forms they meet and walk past a marked abstraction as a normal leaf.  A
 mark is still the empty set of free variables, so every reader works
 unchanged; no constructor hands a mark up to the parent it builds.
-Pickle and deepcopy rebuild a term through the constructors, so a clone
-holds the tables' sets, the clone of an abstraction marked beta-eta-normal
-the very mark, and that of one holding an `_EtaForm` the plain empty set.
+Pickle and deepcopy rebuild a term from a flat list through the
+constructors (`_reduce`), so a clone holds the tables' sets, the clone of
+an abstraction marked beta-eta-normal the very mark, and that of one
+holding an `_EtaForm` the plain empty set.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ _SETS: dict[frozenset[str], frozenset[str]] = {}
 # FrozenInstanceError, but their hand-written __init__ stores through the
 # slot descriptors (taken below the classes), about twice as fast as the
 # generated one.  Each class has an `_fv` field, its free variables, kept
-# out of ==, hash, repr and __match_args__, and a __reduce__ that rebuilds
-# it through __init__.
+# out of ==, hash, repr and __match_args__.  All three share one
+# __reduce__ (`_reduce`, below).
 
 @dataclass(frozen=True, slots=True, init=False)
 class Var:
@@ -60,9 +61,6 @@ class Var:
             fv = frozenset((name,))
             fv = _NAME_SETS[name] = _SETS.setdefault(fv, fv)
         _set_var_fv(self, fv)
-
-    def __reduce__(self):
-        return Var, (self.name,)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -82,11 +80,6 @@ class Lam:
         elif not fv:
             fv = _NO_NAMES  # the body's set may be a mark
         _set_lam_fv(self, fv)
-
-    def __reduce__(self):
-        if self._fv is _BETA_ETA_NORMAL:
-            return _marked_lam, (self.binder, self.body)
-        return Lam, (self.binder, self.body)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -110,9 +103,6 @@ class App:
             fv = a | b
             fv = _SETS.setdefault(fv, fv)
         _set_app_fv(self, fv)
-
-    def __reduce__(self):
-        return App, (self.fn, self.arg)
 
 
 _set_name = Var.name.__set__
@@ -152,12 +142,49 @@ class _EtaForm(frozenset):
         return mark
 
 
-def _marked_lam(binder: str, body: Term) -> Lam:
-    """The abstraction λbinder.body marked beta-eta-normal: how pickle and
-    deepcopy rebuild one."""
-    node = Lam(binder, body)
-    _set_lam_fv(node, _BETA_ETA_NORMAL)
-    return node
+def _reduce(self):
+    """How pickle and deepcopy take a term apart, without recursion:
+    `_rebuild` and the list of its nodes, children first, each once: a Var
+    as its name, a Lam as (binder, body, marked beta-eta-normal) and an App
+    as (fn, arg), with each child given as its place in the list."""
+    code = []
+    index: dict[int, int] = {}
+    stack = [self]
+    while stack:
+        node = stack.pop()
+        if id(node) in index:
+            continue
+        cls = type(node)
+        kids = () if cls is Var else (node.body,) if cls is Lam else (node.fn, node.arg)
+        waiting = [kid for kid in kids if id(kid) not in index]
+        if waiting:
+            stack += (node, *waiting)
+            continue
+        index[id(node)] = len(code)
+        code.append(
+            node.name if cls is Var
+            else (node.binder, index[id(node.body)], node._fv is _BETA_ETA_NORMAL) if cls is Lam
+            else (index[id(node.fn)], index[id(node.arg)]))
+    return _rebuild, (code,)
+
+
+def _rebuild(code: list) -> Term:
+    """The term of a list of `_reduce`, built through the constructors."""
+    built: list[Term] = []
+    for item in code:
+        if type(item) is str:
+            node = Var(item)
+        elif len(item) == 2:
+            node = App(built[item[0]], built[item[1]])
+        else:
+            node = Lam(item[0], built[item[1]])
+            if item[2]:
+                _set_lam_fv(node, _BETA_ETA_NORMAL)
+        built.append(node)
+    return built[-1]
+
+
+Var.__reduce__ = Lam.__reduce__ = App.__reduce__ = _reduce
 
 
 # ---------------------------------------------------------------------------
@@ -294,82 +321,36 @@ def substitute(t: Term, s: Substitution) -> Term:
     Bound variables are renamed (by appending primes) only when a
     replacement would otherwise be captured, so output is deterministic.
     A subtree in which no substituted name is free is shared with the
-    input, without a walk: both walks here call themselves only on the
-    children that hold a substituted name, and put the replacement in
-    place of a child that is such a variable without a call.  One binding
-    goes to `substitute_one`.
+    input, without a walk: the walk calls itself only on the children that
+    hold a substituted name, and puts the replacement in place of a child
+    that is such a variable without a call.
     """
-    if len(s) == 1:
-        ((x, arg),) = s.items()
-        return substitute_one(t, x, arg)
-    if t._fv.isdisjoint(s):
+    names = frozenset(s)
+    if t._fv.isdisjoint(names):
         return t
-    fvs = {k: v._fv for k, v in s.items()}
-    return _substitute_many(t, dict(s), fvs, frozenset().union(*fvs.values()))
+    return _substitute(t, s, names, _NO_NAMES.union(*(v._fv for v in s.values())))
 
 
-def substitute_one(node: Term, x: str | dict[str, Term], arg: Term | None = None) -> Term:
-    """node[x := arg], the substitution of a beta contraction, with no map
-    built for it; with no arg, node[x] for a map x of names to closed terms
-    that node holds one of, which renames nothing.  At the first binder that
-    arg would be captured by, it hands that subtree to the simultaneous
-    walk, which is then in exactly the state it would have reached there by
-    itself, so both walks give the same terms, binder names and shared
-    nodes.  Both walks loop down a left spine, recursing into its arguments
-    and its head.
-    """
-    if arg is None:
-        return _substitute_many(node, x, None, _NO_NAMES)
-    if x not in node._fv:
-        return node
+def _substitute(node: Term, m: Substitution, names: frozenset[str], risk: frozenset[str]) -> Term:
+    """node[m], for a node that holds a name of m: names is the set of m's
+    keys and risk the union of the free variables of m's values, the names
+    a binder may capture.  When risk is empty nothing is renamed.  The walk
+    loops down a left spine, recursing into its arguments and its head."""
     # Exact class tests: the hot path, and Var, Lam and App have no
-    # subclasses.  A child with x free that is a Var is Var(x).
+    # subclasses.  A child that holds a name of m and is a Var is that name.
     cls = type(node)
     if cls is App:
         up = None
-        while type(node.fn) is App and x in node.fn._fv:
+        while type(node.fn) is App and not node.fn._fv.isdisjoint(names):
             up = (node, up)
             node = node.fn
         fn = node.fn
-        if x in fn._fv:
-            fn = arg if type(fn) is Var else substitute_one(fn, x, arg)
+        if not fn._fv.isdisjoint(names):
+            fn = m[fn.name] if type(fn) is Var else _substitute(fn, m, names, risk)
         while True:
             a = node.arg
-            if x in a._fv:
-                a = arg if type(a) is Var else substitute_one(a, x, arg)
-            fn = node if fn is node.fn and a is node.arg else App(fn, a)
-            if up is None:
-                return fn
-            node, up = up
-    if cls is Var:
-        return arg
-    b = node.binder
-    if b in arg._fv:
-        return _substitute_many(node, {x: arg}, {x: arg._fv}, arg._fv)
-    body = node.body
-    new = arg if type(body) is Var else substitute_one(body, x, arg)
-    if new is body:
-        return node
-    return Lam(b, new)
-
-
-def _substitute_many(node: Term, m: dict[str, Term], mfvs, mrisk) -> Term:
-    """node[m], for a node that holds a name of m; mfvs maps each name of m
-    to its replacement's free variables and mrisk is the union of those
-    sets.  When mrisk is empty nothing is renamed and mfvs is not read."""
-    cls = type(node)
-    if cls is App:
-        up = None
-        while type(node.fn) is App and not node.fn._fv.isdisjoint(m):
-            up = (node, up)
-            node = node.fn
-        fn = node.fn
-        if not fn._fv.isdisjoint(m):
-            fn = m[fn.name] if type(fn) is Var else _substitute_many(fn, m, mfvs, mrisk)
-        while True:
-            a = node.arg
-            if not a._fv.isdisjoint(m):
-                a = m[a.name] if type(a) is Var else _substitute_many(a, m, mfvs, mrisk)
+            if not a._fv.isdisjoint(names):
+                a = m[a.name] if type(a) is Var else _substitute(a, m, names, risk)
             fn = node if fn is node.fn and a is node.arg else App(fn, a)
             if up is None:
                 return fn
@@ -380,24 +361,14 @@ def _substitute_many(node: Term, m: dict[str, Term], mfvs, mrisk) -> Term:
     # name of the map it is walked with.
     x = node.binder
     body = node.body
-    m2 = m
-    if x in m2:
-        m2 = {k: v for k, v in m2.items() if k != x}
-    if x in mrisk and any(x in mfvs[k] for k in m2 if k in node._fv):
-        occurs = body._fv
-        avoid = set(occurs)
-        for k in m2:
-            if k in occurs:
-                avoid |= mfvs[k]
-        fresh = fresh_name(x, avoid)
-        m3 = dict(m2)
-        m3[x] = Var(fresh)
-        fvs3 = dict(mfvs)
-        fvs3[x] = {fresh}
-        if type(body) is Var:
-            return Lam(fresh, m3[body.name])
-        return Lam(fresh, _substitute_many(body, m3, fvs3, mrisk | {fresh}))
-    new = m2[body.name] if type(body) is Var else _substitute_many(body, m2, mfvs, mrisk)
-    if new is body:
-        return node
-    return Lam(x, new)
+    if x in names:
+        m = {k: v for k, v in m.items() if k != x}
+        names = names - {x}
+    if x in risk and any(x in m[k]._fv for k in names & node._fv):
+        x = fresh_name(x, set(body._fv).union(*(m[k]._fv for k in names & body._fv)))
+        m = {**m, node.binder: Var(x)}
+        names = names | {node.binder}
+        risk = risk | {x}
+    new = m[body.name] if type(body) is Var else _substitute(body, m, names, risk)
+    # A renamed binder changes the body, so an unchanged body keeps node.
+    return node if new is body else Lam(x, new)

@@ -1,7 +1,7 @@
 import sys
 
-# The two substitution walks still recurse into arguments and the bodies of
-# abstractions, though they loop down a left spine, and the dataclass-made
+# The substitution walk still recurses into arguments and the bodies of
+# abstractions, though it loops down a left spine, and the dataclass-made
 # == and hash of terms recurse on term depth.  free_vars reads the
 # set each node is built with, and normal-order beta reduction, head
 # reduction, the eta pass, alpha_eq, the parser and pretty do not recurse;

@@ -259,11 +259,33 @@ def test_eval_too_deep_for_the_engine_is_one_line():
     code, out, err = run_fresh("eval", "(\\y." + church_text(3_000) + r") (\u.u)")
     assert code == 0, err
     assert out == church_text(3_000) + "\nsteps: 1 beta, 0 eta\n"
-    # Substituting into a body that deep still reaches the one-name walk of
+    # Substituting into a body that deep still reaches the walk of
     # substitute, which recurses: one line and exit 1.
     body = r"\f.\x." + "f (" * 2_999 + "f y" + ")" * 2_999
     code, out, err = run_fresh("eval", "(\\y." + body + r") (\u.u)")
     assert (code, out, err) == (1, "", "term nests too deep for the engine\n")
+
+
+# Pickle and deepcopy take a term apart into a flat list and rebuild it
+# without recursion.  The dataclass == recurses, so the copies are compared
+# by alpha_eq and pretty.
+DEEP_CLONES = """
+import copy, pickle, sys
+from numlam import App, alpha_eq, beta_eta_normalize, church, pretty
+from numlam.terms import _BETA_ETA_NORMAL
+d = church(3000)
+assert beta_eta_normalize(d).term is d and d._fv is _BETA_ETA_NORMAL
+shared = App(d, d)
+for clone in (pickle.loads(pickle.dumps(shared)), copy.deepcopy(shared)):
+    assert clone.fn is clone.arg is not d and clone.fn._fv is _BETA_ETA_NORMAL
+    assert alpha_eq(clone, shared) and pretty(clone) == pretty(shared)
+print(sys.getrecursionlimit())
+"""
+
+
+def test_pickle_and_deepcopy_of_a_deep_term_at_the_default_recursion_limit():
+    code, out, err = run_fresh(python=("-c", DEEP_CLONES))
+    assert (code, out, err) == (0, "1000\n", "")
 
 
 # Long left spines: a contraction pushes the arguments of its contractum's

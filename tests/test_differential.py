@@ -73,7 +73,7 @@ from termgen import (
 from numlam import reduction, terms as numlam_terms
 from numlam.harness import _numerals
 from numlam.numerals import SequenceSpec
-from numlam.terms import _BETA_ETA_NORMAL, _NO_NAMES, _SETS, _EtaForm, substitute_one
+from numlam.terms import _BETA_ETA_NORMAL, _NO_NAMES, _SETS, _EtaForm
 
 # Replacements draw their free names from the binder pool too, so they
 # collide with the binders of the term they go into and force renaming.
@@ -149,17 +149,14 @@ def reused(out, t):
 
 
 def assert_one_binding_like_oracle(t, x, arg):
-    """substitute_one(t, x, arg), the contraction entry, gives the oracle's
-    result, and reuses the same nodes of t as the oracle, as substitute with
-    the one-entry map and as the simultaneous walk.  Returns its result."""
-    out = substitute_one(t, x, arg)
+    """substitute(t, {x: arg}), the substitution of a contraction, gives
+    the oracle's result, and reuses the same nodes of t as the oracle and
+    as a map with a second name.  Returns its result."""
+    out = substitute(t, {x: arg})
     expected = oracle.substitute(t, {x: arg})
     assert out == expected and reused(out, t) == reused(expected, t)
     assert_free_vars_agree(out)
-    via_map = substitute(t, {x: arg})
-    assert via_map == out and reused(via_map, t) == reused(out, t)
-    # A second name that occurs nowhere sends the same work through the
-    # simultaneous walk.
+    # A second name that occurs nowhere changes none of the work.
     both = substitute(t, {x: arg, "unused": I})
     assert both == expected and reused(both, t) == reused(out, t)
     for term in (t, out, both):
@@ -170,7 +167,7 @@ def assert_one_binding_like_oracle(t, x, arg):
 
 
 def one_binding_shapes(t, x):
-    """The shapes of t's nodes that substitute_one tells apart for x."""
+    """The shapes of t's nodes that the walk tells apart for x."""
     shapes = set()
     for node in preorder(t):
         if isinstance(node, App) and x in node._fv:
@@ -184,10 +181,9 @@ def one_binding_shapes(t, x):
 
 
 def test_one_binding_substitute_matches_oracle_on_seeded_corpus():
-    """Every beta contraction substitutes one name, through substitute_one.
-    That takes its own walk, which must give the oracle's result and reuse
-    the same nodes of t as the simultaneous walk, on every shape it tells
-    apart."""
+    """A beta contraction with an open argument substitutes one name.  The
+    walk must give the oracle's result and reuse the same nodes of t as the
+    oracle, on every shape it tells apart."""
     rng = random.Random(1207)
     renamed = untouched = itself = 0
     shapes = dict.fromkeys(("fn", "arg", "fn and arg", "Var child", "Var body"), 0)
@@ -218,7 +214,7 @@ def test_one_binding_substitute_matches_oracle_on_seeded_corpus():
 
 
 def test_substitute_skips_cached_applications_like_oracle():
-    """Both walks return an application as it is when no substituted name
+    """The walk returns an application as it is when no substituted name
     is free in it, as its set of free variables says."""
     rng = random.Random(1208)
     skipped = 0
@@ -242,11 +238,10 @@ def test_substitute_skips_cached_applications_like_oracle():
 
 
 def test_one_binding_walk_keeps_the_replacement_free_vars_to_one_call():
-    """The one-binding walk tests each binder against the free variables
-    of the replacement of the same call, never of an earlier one.  In the
-    two-branch term, λy sends its subtree to the simultaneous walk when y
-    is free in the replacement, and its sibling λz is tested against the
-    same set."""
+    """The walk tests each binder against the free variables of the
+    replacement of the same call, never of an earlier one.  In the
+    two-branch term, λy is renamed when y is free in the replacement, and
+    its sibling λz is tested against the same set."""
     body = Lam("y", App(Var("x"), Var("y")))
     siblings = App(Lam("y", App(Var("x"), Var("y"))), Lam("z", App(Var("x"), Var("z"))))
     for t, name in ((body, "z"), (body, "y"), (siblings, "y"), (siblings, "z")):
@@ -470,8 +465,8 @@ def test_contracting_onto_the_spine_matches_oracle():
 def test_contracting_a_chain_of_closed_arguments_matches_oracle(monkeypatch):
     """When closed arguments meet a chain of abstractions, the beta pass
     pops them all and substitutes them with one map, a later binder of a
-    name replacing an earlier one; an open argument takes the one-binding
-    walk, which renames a binder its free names would be caught by.  Over
+    name replacing an earlier one; an open argument is a map of one name,
+    whose walk renames a binder its free names would be caught by.  Over
     chains applied to fewer, as many or more arguments than binders, with
     repeated binder names, beta_normalize gives the oracle's partial term
     and steps at every fuel, so also where the fuel cuts a chain short,
@@ -479,22 +474,22 @@ def test_contracting_a_chain_of_closed_arguments_matches_oracle(monkeypatch):
     same object."""
     maps = []
     renames = []
-    contract = reduction.substitute
-    many = numlam_terms._substitute_many
+    walk = numlam_terms._substitute
 
-    def counting(*args):
-        if len(args) == 2:
-            maps.append(len(args[1]))
-        return contract(*args)
-
-    def renaming(node, m, mfvs, mrisk):
-        out = many(node, m, mfvs, mrisk)
+    def renaming(node, m, names, risk):
+        out = walk(node, m, names, risk)
         if type(node) is Lam and out.binder != node.binder:
             renames.append(node)
         return out
 
+    def counting(node, m, names, risk):
+        maps.append(len(m))
+        return renaming(node, m, names, risk)
+
+    # The machine calls the walk as reduction.substitute, and the walk
+    # calls itself by its name in terms.
     monkeypatch.setattr(reduction, "substitute", counting)
-    monkeypatch.setattr(numlam_terms, "_substitute_many", renaming)
+    monkeypatch.setattr(numlam_terms, "_substitute", renaming)
     rng = random.Random(1931)
     marked = marked_abstractions()
     lengths = []
@@ -503,7 +498,8 @@ def test_contracting_a_chain_of_closed_arguments_matches_oracle(monkeypatch):
         lengths.append(assert_fuel_ladder(t, 60))
     assert sum(1 for n in lengths if n is not None and n > 2) > 150
     assert lengths.count(None) < 20
-    # A map of one name comes of a binder that shadows the one before it.
+    # A map of one name comes of an open argument, of a closed one that no
+    # closed argument follows, or of a binder that shadows the one before it.
     assert len(maps) > 400 and maps.count(1) > 20 and maps.count(3) > 50
     assert len(renames) > 50
 

@@ -2,6 +2,7 @@
 name no longer exported from `numlam` cannot leave them stale."""
 
 import argparse
+import dataclasses
 import importlib
 import re
 import shlex
@@ -55,14 +56,29 @@ def test_cli_synopsis_lists_each_commands_options():
 
 
 def test_module_list_names_only_what_each_module_has():
-    """The first sentence of each `numlam.X` bullet lists names of numlam.X."""
+    """The first sentence of each `numlam.X` bullet lists names of numlam.X,
+    and every call `name(…)` in backticks anywhere in the bullet calls a
+    name of numlam.X or a field of a class it defines."""
     section = README.split("\nModules:\n\n", 1)[1].split("\n\n", 1)[0]
     bullets = re.findall(r"^- `numlam\.(\w+)` — (.*?)(?=^- |\Z)", section, re.S | re.M)
     assert [module for module, _ in bullets] == [
         "terms", "parser", "reduction", "numerals", "harness", "report"]
+    calls = 0
     for module, text in bullets:
-        first = re.split(r"\.\s", " ".join(text.split()), maxsplit=1)[0]
+        mod = importlib.import_module(f"numlam.{module}")
+        text = " ".join(text.split())
+        first = re.split(r"\.\s", text, maxsplit=1)[0]
         names = re.findall(r"`([^`]+)`", first)
         assert names, module
         for name in names:
-            assert hasattr(importlib.import_module(f"numlam.{module}"), name), (module, name)
+            assert hasattr(mod, name), (module, name)
+        fields = {
+            f.name
+            for cls in vars(mod).values()
+            if dataclasses.is_dataclass(cls) and cls.__module__ == mod.__name__
+            for f in dataclasses.fields(cls)
+        }
+        for name in re.findall(r"`(\w+)\(", text):
+            assert hasattr(mod, name) or name in fields, (module, name)
+            calls += 1
+    assert calls >= 3

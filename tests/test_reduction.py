@@ -286,10 +286,11 @@ def test_substitution_goes_through_the_name_the_benchmark_wraps(monkeypatch):
     """bench/spans.py counts and times substitution by wrapping
     `numlam.reduction.substitute`, so all substitution work of
     `beta_normalize` and `head_reduce` must go through that name.  A call
-    is (node, x, arg) for one binding or (node, m) for a map of names to
-    closed terms, and substitutes into a part of a redex body that holds a
-    substituted name and is not a variable: a step whose bound name occurs
-    only as variables on the body's left spine makes no call."""
+    is (node, m, names, risk) for a map m of the redex binders to their
+    arguments, which are closed when there are several, and substitutes
+    into a part of a redex body that holds a substituted name and is not a
+    variable: a step whose bound name occurs only as variables on the
+    body's left spine makes no call."""
     calls = []
     results = []
     inside = [0]
@@ -312,8 +313,7 @@ def test_substitution_goes_through_the_name_the_benchmark_wraps(monkeypatch):
         return guarded
 
     monkeypatch.setattr(reduction, "substitute", counting)
-    monkeypatch.setattr(terms, "substitute_one", only_inside(terms.substitute_one))
-    monkeypatch.setattr(terms, "_substitute_many", only_inside(terms._substitute_many))
+    monkeypatch.setattr(terms, "_substitute", only_inside(terms._substitute))
     cases = (
         app(church_k_term(), church(3), church(2)),
         app(builtin_system("church").predecessor, church(5)),
@@ -330,14 +330,11 @@ def test_substitution_goes_through_the_name_the_benchmark_wraps(monkeypatch):
                 if type(node) is Lam and key not in bodies:
                     bodies[key] = (node.binder, subterms(node.body))
         maps = 0
-        for call in calls:
-            node = call[0]
-            if len(call) == 2:
-                names = set(call[1])
-                assert not any(free_vars(v) for v in call[1].values())
-                maps += 1
-            else:
-                names = {call[1]}
+        for node, m, names, risk in calls:
+            assert names == set(m) and risk == set().union(*map(free_vars, m.values()))
+            if len(m) > 1:
+                assert not risk
+            maps += 1
             assert type(node) is not Var and names & free_vars(node)
             assert any(b in names and id(node) in ids for b, ids in bodies.values())
         counts.append((out.steps, len(calls), maps))
@@ -345,7 +342,7 @@ def test_substitution_goes_through_the_name_the_benchmark_wraps(monkeypatch):
     result = head_reduce(parse_term(r"(\x.x x x)(\x.x x x)"), Fuel(1000))
     assert not result.reached_hnf and result.trace.length == 1000
     counts.append((result.trace.length, len(calls), 0))
-    assert counts == [(98, 32, 29), (38, 21, 11), (1000, 0, 0)]
+    assert counts == [(98, 32, 32), (38, 21, 21), (1000, 0, 0)]
 
     def refuse(*args):
         raise RuntimeError("reduction.substitute")
