@@ -23,7 +23,6 @@ from itertools import islice
 
 from .terms import (
     _BETA_ETA_NORMAL,
-    _NAME_SETS,
     _NO_NAMES,
     _EtaForm,
     App,
@@ -31,7 +30,9 @@ from .terms import (
     Term,
     Var,
     _set_lam_fv,
-    # Under this name so that bench/spans.py can wrap substitutions, until counters do.
+    _substitute,
+    # bench/spans.py wraps this name, until counters do; the replay of a
+    # HeadTrace walks with _substitute, so a wrapper sees a contraction once.
     _substitute as substitute,
 )
 
@@ -111,21 +112,22 @@ def _state_term(binders, head: Term, spine) -> Term:
     return head
 
 
-def _contract(body: Term, m: dict[str, Term], names: frozenset[str], risk: frozenset[str], spine):
-    """Contract a redex whose abstractions bind the names of m, with the
-    names and risk of `substitute`, in front of spine: the head of body[m],
+def _contract(body: Term, m: dict[str, Term], risk: frozenset[str], spine, walk):
+    """Contract a redex whose abstractions bind the names of m, risk the
+    free variables of m's values, in front of spine: the head of body[m],
     and the spine with the arguments of body's left spine pushed, down to
     the first application without a name of m.  Each argument and the head
-    is a replacement if it is a name of m, goes through `substitute` if it
-    holds one, and stays as it is otherwise."""
+    is a replacement if it is a name of m, goes through walk if it holds
+    one, and stays as it is otherwise."""
+    names = frozenset(m)
     while type(body) is App and not body._fv.isdisjoint(names):
         a = body.arg
         if not a._fv.isdisjoint(names):
-            a = m[a.name] if type(a) is Var else substitute(a, m, names, risk)
+            a = m[a.name] if type(a) is Var else walk(a, m, names, risk)
         spine = (a, None, spine)
         body = body.fn
     if not body._fv.isdisjoint(names):
-        body = m[body.name] if type(body) is Var else substitute(body, m, names, risk)
+        body = m[body.name] if type(body) is Var else walk(body, m, names, risk)
     return body, spine
 
 
@@ -187,10 +189,9 @@ def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
                         t = _state_term(binders, fn, (t, node if t is arg else None, spine))
                     return OutOfFuel(t, steps), True
                 arg, _, spine = spine
-                x = head.binder
+                m = {head.binder: arg}
                 head = head.body
                 steps += 1
-                m = {x: arg}
                 risk = arg._fv
                 if not risk:
                     # Closed arguments meeting a chain of abstractions go
@@ -201,9 +202,7 @@ def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
                         m[head.binder] = arg
                         head = head.body
                         steps += 1
-                # A binder with no one-name set occurs nowhere: no names.
-                names = frozenset(m) if len(m) > 1 else _NAME_SETS.get(x, _NO_NAMES)
-                head, spine = _contract(head, m, names, risk, spine)
+                head, spine = _contract(head, m, risk, spine, substitute)
                 continue
             fv = head._fv
             # A plain set is no mark: every mark is of a subclass.
@@ -414,11 +413,11 @@ def unknown(reason: str) -> EqVerdict:
 # ---------------------------------------------------------------------------
 # Head reduction
 
-def _head_states(t: Term):
-    """The states of head-reducing t on the machine, t's first, each
-    unwound: an application head goes onto the spine and an abstraction
-    with no argument onto the binders, so the head is a redex exactly when
-    it is an abstraction.  They end at head normal form."""
+def _head_states(t: Term, walk):
+    """The states of head-reducing t on the machine, contracting with walk,
+    t's first, each unwound: an application head goes onto the spine and an
+    abstraction with no argument onto the binders, so the head is a redex
+    exactly when it is an abstraction.  They end at head normal form."""
     binders = spine = None
     head = t
     while True:
@@ -433,9 +432,7 @@ def _head_states(t: Term):
             if type(head) is not Lam:
                 return
             arg, _, spine = spine
-            x = head.binder
-            names = _NAME_SETS.get(x, _NO_NAMES)
-            head, spine = _contract(head.body, {x: arg}, names, arg._fv, spine)
+            head, spine = _contract(head.body, {head.binder: arg}, arg._fv, spine, walk)
 
 
 class HeadTrace:
@@ -457,7 +454,7 @@ class HeadTrace:
     @property
     def states(self) -> tuple[Term, ...]:
         if self._states is None:
-            replay = islice(_head_states(self._start), 1, self.length)
+            replay = islice(_head_states(self._start, _substitute), 1, self.length)
             middle = (_state_term(*state) for state in replay)
             self._states = (self._start, *middle, self.final) if self.length else (self._start,)
         return self._states
@@ -475,7 +472,7 @@ def head_reduce(t: Term, fuel: Fuel = DEFAULT_FUEL) -> HeadResult:
     between the endpoints.  When the fuel runs out the machine only tests
     for head normal form.
     """
-    for length, state in enumerate(_head_states(t)):
+    for length, state in enumerate(_head_states(t, substitute)):
         if length == fuel.max_steps:
             break
     # With no step, the state rebuilds to t itself.

@@ -21,7 +21,8 @@ unchanged; no constructor hands a mark up to the parent it builds.
 Pickle and deepcopy rebuild a term from a flat list through the
 constructors (`_reduce`), so a clone holds the tables' sets, the clone of
 an abstraction marked beta-eta-normal the very mark, and that of one
-holding an `_EtaForm` the plain empty set.
+holding an `_EtaForm` the plain empty set.  Sharing is kept within one
+term, not across terms, and `copy.copy` copies the whole term.
 """
 
 from __future__ import annotations

@@ -260,7 +260,7 @@ def random_chain_redex(rng: random.Random, marked: tuple) -> Term:
     the binders.  Most arguments are closed: a Church numeral or a
     combinator, one of the `marked` closed normal abstractions or a random
     closed term.  The others are open, often a free name equal to a binder
-    of the chain, which forces the one-binding walk to rename.  The redex
+    of the chain, which forces the walk to rename.  The redex
     is sometimes put under binders or in argument position."""
     k = rng.randint(1, 4)
     binders = [rng.choice(BINDER_POOL) for _ in range(k)]

@@ -473,8 +473,25 @@ def test_contracting_a_chain_of_closed_arguments_matches_oracle(monkeypatch):
     every result has sound caches and a normal input comes back as the
     same object."""
     maps = []
+    shadowed = 0
     renames = []
+    beta_pass = reduction._beta_pass
+    contract = reduction._contract
     walk = numlam_terms._substitute
+
+    def run(t, fuel):
+        # Each step pops one argument and a map keeps one per name, so the
+        # steps of a run that its maps do not hold are the arguments of
+        # binders shadowed by a later binder of the same name.
+        nonlocal shadowed
+        start = len(maps)
+        out = beta_pass(t, fuel)
+        shadowed += out[0].steps - sum(maps[start:])
+        return out
+
+    def counting(body, m, *rest):
+        maps.append(len(m))
+        return contract(body, m, *rest)
 
     def renaming(node, m, names, risk):
         out = walk(node, m, names, risk)
@@ -482,13 +499,11 @@ def test_contracting_a_chain_of_closed_arguments_matches_oracle(monkeypatch):
             renames.append(node)
         return out
 
-    def counting(node, m, names, risk):
-        maps.append(len(m))
-        return renaming(node, m, names, risk)
-
+    monkeypatch.setattr(reduction, "_beta_pass", run)
+    monkeypatch.setattr(reduction, "_contract", counting)
     # The machine calls the walk as reduction.substitute, and the walk
     # calls itself by its name in terms.
-    monkeypatch.setattr(reduction, "substitute", counting)
+    monkeypatch.setattr(reduction, "substitute", renaming)
     monkeypatch.setattr(numlam_terms, "_substitute", renaming)
     rng = random.Random(1931)
     marked = marked_abstractions()
@@ -498,9 +513,9 @@ def test_contracting_a_chain_of_closed_arguments_matches_oracle(monkeypatch):
         lengths.append(assert_fuel_ladder(t, 60))
     assert sum(1 for n in lengths if n is not None and n > 2) > 150
     assert lengths.count(None) < 20
-    # A map of one name comes of an open argument, of a closed one that no
-    # closed argument follows, or of a binder that shadows the one before it.
-    assert len(maps) > 400 and maps.count(1) > 20 and maps.count(3) > 50
+    # Contractions of chains: of more than one name, of three, and the
+    # arguments whose binders were shadowed.
+    assert sum(1 for n in maps if n > 1) > 400 and maps.count(3) > 50 and shadowed > 20
     assert len(renames) > 50
 
 
@@ -1032,3 +1047,17 @@ def test_free_vars_cache_is_invisible():
         assert clone._fv is _BETA_ETA_NORMAL
         assert free_vars(clone) == frozenset()
         assert beta_eta_normalize(clone) == beta_eta_normalize(plain)
+
+
+def test_a_clone_keeps_sharing_within_a_term_not_across_terms():
+    """A node shared inside a term stays one object in its clones.  Two
+    terms pickled or copied together are rebuilt apart, even where one
+    holds the other, and copy.copy copies the whole term."""
+    d = church(2)
+    t = App(d, Lam("x", App(Var("x"), d)))
+    for clone in clones(t):
+        assert clone == t and clone.fn is clone.arg.body.arg is not d
+    both = [d, t]
+    for fn, arg in (copy.deepcopy(both), pickle.loads(pickle.dumps(both))):
+        assert arg.fn is arg.arg.body.arg is not fn
+        assert alpha_eq(arg.fn, fn) and alpha_eq(arg, t)

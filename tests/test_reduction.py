@@ -353,6 +353,27 @@ def test_substitution_goes_through_the_name_the_benchmark_wraps(monkeypatch):
             beta_normalize(t)
 
 
+def test_reading_head_states_makes_no_call_through_the_wrapped_name(monkeypatch):
+    """bench/spans.py counts the calls of a head_reduce through
+    `numlam.reduction.substitute`, then reads the trace's states: the
+    replay that builds them substitutes with the walk of `terms` itself,
+    so each contraction is counted once."""
+    calls = []
+    walk = reduction.substitute
+
+    def counting(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(reduction, "substitute", counting)
+    t = app(builtin_system("church").predecessor, church(5))
+    result = head_reduce(t)
+    assert result.reached_hnf and (result.trace.length, len(calls)) == (12, 6)
+    states = result.trace.states
+    assert len(states) == 13 and states[0] is t and states[-1] is result.trace.final
+    assert len(calls) == 6
+
+
 # ---------------------------------------------------------------------------
 # Properties
 
