@@ -358,8 +358,9 @@ def test_negative_upto_is_bad_input(capsys, argv):
 
 
 # The default --json bytes of these commands are pinned: a change to the
-# engine must leave every verdict, step count and printed witness as it is.
-# The definable run has distinct cases whose witnesses print renamed binders.
+# engine must leave every verdict, step count and printed witness as it is,
+# and a change to the front end every key and its place.  The definable run
+# has distinct cases whose witnesses print renamed binders.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -368,8 +369,24 @@ GOLDEN = Path(__file__).parent / "golden"
     (("check", "c", "all", "--upto", "10"), "check_c_upto10.json", 3),
     (("definable", "church", "--prelude", "S_church S_church", "--fn", "succ", "--upto", "4"),
      "definable_church_succ_twice.json", 1),
+    (("head", r"(\n.n (\x.x)) (\x1.\x2.\x.x)"), "head_hnf.json", 0),
+    (("head", r"(\x.x x) (\x.x x)", "--fuel", "10"), "head_out_of_fuel.json", 2),
+    (("head", "--trace", r"(\x.\y.x y) (\z.z) w"), "head_trace.json", 0),
+    (("eq", r"(\n.\f.\x.f (n f x)) (\f.\x.f x)", r"\f.\x.f (f x)"), "eq_equal.json", 0),
+    (("eq", r"\x.\y.x", r"\x.\y.y"), "eq_distinct.json", 1),
+    (("eq", r"(\x.x x) (\x.x x)", r"\x.x", "--fuel", "50"), "eq_unknown.json", 3),
+    (("eval", r"(\x.x x) (\x.x x)", "--fuel", "100"), "eval_out_of_fuel.json", 2),
 ])
 def test_json_output_is_pinned(capsys, argv, golden, exit_code):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == exit_code
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+# The help text shows each default; argparse wraps it to COLUMNS.
+@pytest.mark.parametrize("command", ["eval", "check"])
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert out == (GOLDEN / f"{command}_help.txt").read_text(encoding="utf-8")
