@@ -14,18 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 
 from . import harness
 from .numerals import SYSTEM_NAMES, UnknownSystemError, builtin_system
-from .parser import (
-    DuplicateNameError,
-    ParseError,
-    Program,
-    parse_program,
-    parse_term,
-    pretty,
-)
-from .reduction import Fuel, Normal, beta_eta_normalize, head_reduce
+from .parser import DuplicateNameError, ParseError, Program, parse_program, parse_term, pretty
+from .reduction import DEFAULT_MAX_STEPS, Fuel, Normal, beta_eta_normalize, head_reduce
 from .report import REPORT_FORMAT, beta_eta_eq
 from .terms import F, I, T
 
@@ -34,17 +28,22 @@ EXIT_FAIL = 1
 EXIT_FUEL = 2
 EXIT_INCONCLUSIVE = 3
 
+# The three contract slots, by the name `check` takes: the prefix of their
+# prelude names, the NumeralSystem field and the harness check.
+_SLOTS = {
+    "succ": ("S", "successor", harness.check_successor),
+    "pred": ("P", "predecessor", harness.check_predecessor),
+    "zero": ("Z", "zero_test", harness.check_zero_test),
+}
+
 
 def prelude() -> Program:
     """Named combinators usable in terms given on the command line."""
     defs = [("I", I), ("T", T), ("F", F)]
     for name in SYSTEM_NAMES:
         system = builtin_system(name)
-        for prefix, term in (
-            ("S", system.successor),
-            ("P", system.predecessor),
-            ("Z", system.zero_test),
-        ):
+        for prefix, field, _ in _SLOTS.values():
+            term = getattr(system, field)
             if term is not None:
                 defs.append((f"{prefix}_{name}", term))
     return Program(tuple(defs))
@@ -58,7 +57,8 @@ class _DefsError(Exception):
 def _environment(args) -> Program:
     base = prelude() if args.prelude else None
     if args.defs:
-        with open(args.defs, encoding="utf-8") as handle:
+        # utf-8-sig drops a byte-order mark that an editor may have written.
+        with open(args.defs, encoding="utf-8-sig") as handle:
             text = handle.read()
         try:
             return parse_program(text, base)
@@ -67,25 +67,17 @@ def _environment(args) -> Program:
             line = text.count("\n", 0, at) + 1
             column = at - text.rfind("\n", 0, at)
             kind = "syntax" if isinstance(err, ParseError) else "definition"
-            raise _DefsError(
-                f"{args.defs}:{line}:{column}: {kind} error: {err}"
-            ) from None
+            raise _DefsError(f"{args.defs}:{line}:{column}: {kind} error: {err}") from None
     return base or Program()
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    """Print payload as JSON, after the report format, or the text lines."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"format": REPORT_FORMAT, **payload}, indent=2))
     else:
         for line in text_lines:
             print(line)
-
-
-def _report_payload(reports: list[dict], extra: dict) -> dict:
-    payload = {"format": REPORT_FORMAT}
-    payload.update(extra)
-    payload["reports"] = reports
-    return payload
 
 
 def _report_lines(title: str, report) -> list[str]:
@@ -116,16 +108,11 @@ def cmd_eval(args) -> int:
     out = beta_eta_normalize(term, Fuel(args.fuel))
     if isinstance(out, Normal):
         text = pretty(out.term)
-        payload = {
-            "format": REPORT_FORMAT,
-            "status": "normal",
-            "term": text,
-            "steps": out.steps,
-            "eta_steps": out.eta_steps,
-        }
+        payload = {"status": "normal", "term": text, "steps": out.steps,
+                   "eta_steps": out.eta_steps}
         _emit(args, payload, [text, f"steps: {out.steps} beta, {out.eta_steps} eta"])
         return EXIT_PASS
-    payload = {"format": REPORT_FORMAT, "status": "out_of_fuel"}
+    payload = {"status": "out_of_fuel"}
     if args.json:
         # Only the JSON report shows the partial term.
         payload["term"] = pretty(out.term)
@@ -142,48 +129,31 @@ def cmd_numeral(args) -> int:
         print(str(err), file=sys.stderr)
         return EXIT_FAIL
     text = pretty(term)
-    payload = {
-        "format": REPORT_FORMAT,
-        "system": args.system,
-        "n": args.n,
-        "term": text,
-    }
+    payload = {"system": args.system, "n": args.n, "term": text}
     _emit(args, payload, [text])
     return EXIT_PASS
-
-
-_CHECKS = ("succ", "pred", "zero")
 
 
 def cmd_check(args) -> int:
     system = builtin_system(args.system)
     fuel = Fuel(args.fuel)
-    wanted = _CHECKS if args.which == "all" else (args.which,)
-    combinators = {
-        "succ": system.successor,
-        "pred": system.predecessor,
-        "zero": system.zero_test,
-    }
-    runners = {
-        "succ": harness.check_successor,
-        "pred": harness.check_predecessor,
-        "zero": harness.check_zero_test,
-    }
+    wanted = _SLOTS if args.which == "all" else (args.which,)
     reports = []
     lines = []
     overalls = []
     for which in wanted:
-        term = combinators[which]
+        _, field, check = _SLOTS[which]
+        term = getattr(system, field)
         if term is None:
             reports.append({"which": which, "absent": True})
             lines.append(f"{which}: absent")
             overalls.append("inconclusive")
             continue
-        report = runners[which](system, term, args.upto, fuel)
+        report = check(system, term, args.upto, fuel)
         reports.append({"which": which, **report.to_dict()})
         lines += _report_lines(which, report)
         overalls.append(report.overall)
-    payload = _report_payload(reports, {"system": args.system, "upto": args.upto})
+    payload = {"system": args.system, "upto": args.upto, "reports": reports}
     _emit(args, payload, lines)
     return _exit_code(overalls)
 
@@ -193,12 +163,8 @@ def cmd_head(args) -> int:
     result = head_reduce(term, Fuel(args.fuel))
     trace = result.trace
     final = pretty(trace.final)
-    payload = {
-        "format": REPORT_FORMAT,
-        "status": "hnf" if result.reached_hnf else "out_of_fuel",
-        "h": trace.length,
-        "final": final,
-    }
+    status = "hnf" if result.reached_hnf else "out_of_fuel"
+    payload = {"status": status, "h": trace.length, "final": final}
     if args.trace:
         states = [pretty(state) for state in trace.states[:-1]]
         states.append(final)
@@ -208,11 +174,10 @@ def cmd_head(args) -> int:
         lines = [final]
     if result.reached_hnf:
         lines.append(f"h = {trace.length}")
-        _emit(args, payload, lines)
-        return EXIT_PASS
-    lines.append(f"out of fuel after {trace.length} head steps")
+    else:
+        lines.append(f"out of fuel after {trace.length} head steps")
     _emit(args, payload, lines)
-    return EXIT_FUEL
+    return EXIT_PASS if result.reached_hnf else EXIT_FUEL
 
 
 def cmd_eq(args) -> int:
@@ -220,11 +185,7 @@ def cmd_eq(args) -> int:
     left = parse_term(args.left, env)
     right = parse_term(args.right, env)
     verdict = beta_eta_eq(left, right, Fuel(args.fuel))
-    payload = {
-        "format": REPORT_FORMAT,
-        "verdict": verdict.kind,
-        "reason": verdict.reason,
-    }
+    payload = {"verdict": verdict.kind, "reason": verdict.reason}
     _emit(args, payload, [str(verdict)])
     if verdict.is_equal:
         return EXIT_PASS
@@ -246,14 +207,10 @@ def cmd_definable(args) -> int:
     term = parse_term(args.term, _environment(args))
     fn, default_upto = _FUNCTIONS[args.fn]
     upto = args.upto if args.upto is not None else default_upto
-    if fn.arity == 1:
-        points = [(n,) for n in range(upto)]
-    else:
-        points = [(n, m) for n in range(upto) for m in range(upto)]
+    points = list(product(range(upto), repeat=fn.arity))
     report = harness.check_definable(system, term, fn, points, Fuel(args.fuel))
-    payload = _report_payload(
-        [report.to_dict()], {"system": args.system, "fn": args.fn, "upto": upto}
-    )
+    payload = {"system": args.system, "fn": args.fn, "upto": upto,
+               "reports": [report.to_dict()]}
     _emit(args, payload, _report_lines(f"{args.fn} on {args.system}", report))
     return _exit_code([report.overall])
 
@@ -266,10 +223,13 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     fueled = argparse.ArgumentParser(add_help=False)
-    fueled.add_argument("--fuel", type=int, default=1_000_000,
-                        help="maximum beta steps per reduction (default 1000000)")
+    fueled.add_argument("--fuel", type=int, default=DEFAULT_MAX_STEPS,
+                        help="maximum beta steps per reduction (default %(default)s)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
+    # The system comes first among the positional arguments of a command.
+    named = argparse.ArgumentParser(add_help=False)
+    named.add_argument("system", metavar="{" + ",".join(SYSTEM_NAMES) + "}")
 
     terms = argparse.ArgumentParser(add_help=False)
     terms.add_argument("--defs", metavar="PATH",
@@ -288,18 +248,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("term")
     p.set_defaults(run=cmd_eval)
 
-    p = sub.add_parser("numeral", parents=[common],
+    p = sub.add_parser("numeral", parents=[named, common],
                        help="print the n-th numeral of a system")
-    p.add_argument("system", metavar="{" + ",".join(SYSTEM_NAMES) + "}")
     p.add_argument("n", type=int)
     p.set_defaults(run=cmd_numeral)
 
-    p = sub.add_parser("check", parents=[fueled, common],
+    p = sub.add_parser("check", parents=[named, fueled, common],
                        help="run the combinator contracts of a built-in system")
-    p.add_argument("system", metavar="{" + ",".join(SYSTEM_NAMES) + "}")
-    p.add_argument("which", choices=("all",) + _CHECKS)
-    p.add_argument("--upto", type=int, default=50,
-                   help="check indices below this bound (default 50)")
+    p.add_argument("which", choices=("all", *_SLOTS))
+    p.add_argument("--upto", type=int, default=harness.DEFAULT_UPTO,
+                   help="check indices below this bound (default %(default)s)")
     p.set_defaults(run=cmd_check)
 
     p = sub.add_parser("head", parents=[fueled, common, terms],
@@ -315,9 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.set_defaults(run=cmd_eq)
 
-    p = sub.add_parser("definable", parents=[fueled, common, terms],
+    p = sub.add_parser("definable", parents=[named, fueled, common, terms],
                        help="check that a term defines a named numeric function")
-    p.add_argument("system", metavar="{" + ",".join(SYSTEM_NAMES) + "}")
     p.add_argument("term")
     p.add_argument("--fn", choices=sorted(_FUNCTIONS), required=True,
                    help="function to check against")
@@ -344,13 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return EXIT_FAIL
-    except _DefsError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_FAIL
-    except UnknownSystemError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_FAIL
-    except OSError as err:
+    except (_DefsError, UnknownSystemError, OSError) as err:
         print(str(err), file=sys.stderr)
         return EXIT_FAIL
     except UnicodeDecodeError as err:

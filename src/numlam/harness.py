@@ -8,14 +8,12 @@ indices are independent pure computations; reports aggregate the verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
+from .numerals import NumeralSystem, builtin_system
 from .report import CheckCase, CheckReport, eq_case
 from .reduction import DEFAULT_FUEL, Fuel, is_beta_eta_normal
 from .terms import App, F, Lam, T, Term, Var, alpha_eq, app, is_closed, lam, size
-
-if TYPE_CHECKING:
-    from .numerals import NumeralSystem
 
 DEFAULT_UPTO = 50
 
@@ -35,7 +33,7 @@ class NumericFunction:
 # ---------------------------------------------------------------------------
 # System well-formedness and the three combinator contracts
 
-def check_system(sys: "NumeralSystem", upto: int = DEFAULT_UPTO) -> CheckReport:
+def check_system(sys: NumeralSystem, upto: int = DEFAULT_UPTO) -> CheckReport:
     """Closedness, beta-eta-normality, and pairwise alpha-distinctness of the
     numerals below `upto`.
 
@@ -60,17 +58,12 @@ def check_system(sys: "NumeralSystem", upto: int = DEFAULT_UPTO) -> CheckReport:
     if collision is None:
         cases.append(CheckCase("pairwise distinct", True))
     else:
-        cases.append(
-            CheckCase(
-                "pairwise distinct",
-                False,
-                witness=f"n={collision[0]} and n={collision[1]} coincide",
-            )
-        )
+        witness = f"n={collision[0]} and n={collision[1]} coincide"
+        cases.append(CheckCase("pairwise distinct", False, witness=witness))
     return CheckReport(f"{sys.name} well-formedness", tuple(cases))
 
 
-def _numerals(sys: "NumeralSystem", count: int):
+def _numerals(sys: NumeralSystem, count: int):
     """d_0, …, d_{count-1}, each built once: by the system's step around the
     one before where the system has a step, else by `sys.numeral`."""
     step = sys._step
@@ -79,7 +72,7 @@ def _numerals(sys: "NumeralSystem", count: int):
         yield d
 
 
-def _consecutive_numerals(sys: "NumeralSystem", upto: int):
+def _consecutive_numerals(sys: NumeralSystem, upto: int):
     """(n, d_n, d_{n+1}) for n below upto, each numeral built once."""
     if upto < 1:
         return
@@ -90,7 +83,7 @@ def _consecutive_numerals(sys: "NumeralSystem", upto: int):
         cur = nxt
 
 
-def check_successor(sys: "NumeralSystem", s: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
+def check_successor(sys: NumeralSystem, s: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
     cases = [
         eq_case(f"n={n}", app(s, dn), dn1, fuel)
         for n, dn, dn1 in _consecutive_numerals(sys, upto)
@@ -98,7 +91,7 @@ def check_successor(sys: "NumeralSystem", s: Term, upto: int = DEFAULT_UPTO, fue
     return CheckReport(f"{sys.name} successor", tuple(cases))
 
 
-def check_predecessor(sys: "NumeralSystem", p: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
+def check_predecessor(sys: NumeralSystem, p: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
     cases = [
         eq_case(f"n={n + 1}", app(p, dn1), dn, fuel)
         for n, dn, dn1 in _consecutive_numerals(sys, upto)
@@ -106,7 +99,7 @@ def check_predecessor(sys: "NumeralSystem", p: Term, upto: int = DEFAULT_UPTO, f
     return CheckReport(f"{sys.name} predecessor", tuple(cases))
 
 
-def check_zero_test(sys: "NumeralSystem", z: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
+def check_zero_test(sys: NumeralSystem, z: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
     cases = [
         eq_case(f"n={n}", app(z, dn), F if n else T, fuel)
         for n, dn in enumerate(_numerals(sys, upto))
@@ -115,7 +108,7 @@ def check_zero_test(sys: "NumeralSystem", z: Term, upto: int = DEFAULT_UPTO, fue
 
 
 def check_definable(
-    sys: "NumeralSystem",
+    sys: NumeralSystem,
     fterm: Term,
     phi: NumericFunction,
     points: Sequence[tuple[int, ...]],
@@ -136,13 +129,13 @@ def check_definable(
 # ---------------------------------------------------------------------------
 # Zero test as a numeric function, in both directions
 
-def phi_from_zero_test(sys: "NumeralSystem", z: Term) -> Term:
+def phi_from_zero_test(sys: NumeralSystem, z: Term) -> Term:
     """Turn a zero test into a term defining the function 0 ↦ 0, n+1 ↦ 1:
     λn.(z n d_0 d_1)."""
     return Lam("n", app(z, Var("n"), sys.numeral(0), sys.numeral(1)))
 
 
-def zero_test_from_phi(sys: "NumeralSystem", fphi: Term, w01: Term) -> Term:
+def zero_test_from_phi(sys: NumeralSystem, fphi: Term, w01: Term) -> Term:
     """Recover a zero test from a term defining 0 ↦ 0, n+1 ↦ 1, given a
     discriminator w01 sending d_0 to T and d_1 to F: λn.(w01 (fphi n))."""
     return Lam("n", App(w01, App(fphi, Var("n"))))
@@ -163,8 +156,6 @@ def k_function() -> NumericFunction:
 def church_k_term() -> Term:
     """A closed term defining k on the Church system, built from the Church
     successor, predecessor, zero test, addition, and truncated subtraction."""
-    from .numerals import builtin_system
-
     sys = builtin_system("church")
     s, p, z = sys.successor, sys.predecessor, sys.zero_test
     add = lam(
@@ -187,7 +178,7 @@ def church_k_term() -> Term:
     )
 
 
-def spz_from_k(sys: "NumeralSystem", kterm: Term, w10: Term) -> tuple[Term, Term, Term]:
+def spz_from_k(sys: NumeralSystem, kterm: Term, w10: Term) -> tuple[Term, Term, Term]:
     """Derive successor, predecessor, and zero test from a term defining k.
 
     s n = k(n, 0), p n = k(n, 1), and z n tests k(n, n) with a discriminator

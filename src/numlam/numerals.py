@@ -247,24 +247,27 @@ def _c_system(sequence: SequenceSpec) -> NumeralSystem:
     )
 
 
-SYSTEM_NAMES = ("church", "barendregt", "a", "b", "bprime", "tilde", "c")
+# The builders of the systems that take no sequence; c takes one.
+_BUILDERS: dict[str, Callable[[], NumeralSystem]] = {
+    "church": _church_system,
+    "barendregt": _barendregt_system,
+    "a": _a_system,
+    "b": _b_system,
+    "bprime": _bprime_system,
+    "tilde": _tilde_system,
+}
+
+SYSTEM_NAMES = (*_BUILDERS, "c")
 
 
 def builtin_system(name: str, sequence: SequenceSpec | None = None) -> NumeralSystem:
     """Look up a built-in system by name.  `sequence` applies only to "c";
     it defaults to the Church-numeral sequence."""
-    if sequence is not None and name != "c":
+    if name == "c":
+        return _c_system(sequence or CHURCH_SEQUENCE)
+    if sequence is not None:
         raise ValueError("a sequence can only be supplied for the c system")
-    builders = {
-        "church": _church_system,
-        "barendregt": _barendregt_system,
-        "a": _a_system,
-        "b": _b_system,
-        "bprime": _bprime_system,
-        "tilde": _tilde_system,
-        "c": lambda: _c_system(sequence or CHURCH_SEQUENCE),
-    }
-    builder = builders.get(name)
+    builder = _BUILDERS.get(name)
     if builder is None:
         raise UnknownSystemError(name)
     return builder()

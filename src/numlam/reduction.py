@@ -2,10 +2,7 @@
 
 All reductions are fuel-bounded: beta-normalization of an arbitrary term may
 diverge, so every driver returns either a normal form with its step count or
-the partial term left when the budget ran out.  Equality of terms is the
-three-valued `EqVerdict` (decided by `report.beta_eta_eq`): Equal and
-Distinct are definitive (both sides reached beta-eta-normal form), Unknown
-means fuel ran out and is never collapsed to a definite answer.
+the partial term left when the budget ran out.
 
 Beta-normalization and head reduction run on the machine described below.
 
@@ -271,11 +268,6 @@ def _eta(t: Term) -> tuple[Term, int]:
     puts in the form and adds the count.  The walk visits every application
     outside such leaves, so it meets every beta-redex; a mark set before it
     raises is on a subtree it has walked in full."""
-    # Most normal forms have no eta-redex, and finding that out takes one
-    # scan that rebuilds nothing.
-    if is_beta_eta_normal(t):
-        _mark_beta_eta_normal(t)
-        return t, 0
     contracted = 0
     done: list[Term] = []
     stack: list = [t]
@@ -374,40 +366,6 @@ def is_beta_eta_normal(t: Term) -> bool:
             stack.append(node.fn)
             stack.append(node.arg)
     return True
-
-
-# ---------------------------------------------------------------------------
-# Equality
-
-@dataclass(frozen=True, slots=True)
-class EqVerdict:
-    kind: str  # "equal" | "distinct" | "unknown"
-    reason: str | None = None
-
-    @property
-    def is_equal(self) -> bool:
-        return self.kind == "equal"
-
-    @property
-    def is_distinct(self) -> bool:
-        return self.kind == "distinct"
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.kind == "unknown"
-
-    def __str__(self) -> str:
-        if self.kind == "unknown" and self.reason:
-            return f"Unknown ({self.reason})"
-        return self.kind.capitalize()
-
-
-EQUAL = EqVerdict("equal")
-DISTINCT = EqVerdict("distinct")
-
-
-def unknown(reason: str) -> EqVerdict:
-    return EqVerdict("unknown", reason)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Machine-readable verdicts for batches of equivalence checks.
+"""Three-valued verdicts of beta-eta-equality, and machine-readable reports
+of batches of them.
 
-A CheckReport never claims an overall pass while any case is unknown, nor
-on zero cases: fuel exhaustion and an empty report are inconclusive, not
+Equal and Distinct are definitive (both sides reached beta-eta-normal form);
+Unknown means fuel ran out and is never collapsed to a definite answer.  A
+CheckReport never claims an overall pass while any case is unknown, nor on
+zero cases: fuel exhaustion and an empty report are inconclusive, not
 failure or success.
 """
 
@@ -10,19 +13,33 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .parser import pretty
-from .reduction import (
-    DEFAULT_FUEL,
-    DISTINCT,
-    EQUAL,
-    EqVerdict,
-    Fuel,
-    OutOfFuel,
-    beta_eta_normalize,
-    unknown,
-)
+from .reduction import DEFAULT_FUEL, Fuel, OutOfFuel, beta_eta_normalize
 from .terms import Term, alpha_eq
 
 REPORT_FORMAT = 1
+
+
+@dataclass(frozen=True, slots=True)
+class EqVerdict:
+    kind: str  # "equal" | "distinct" | "unknown"
+    reason: str | None = None
+
+    @property
+    def is_equal(self) -> bool:
+        return self.kind == "equal"
+
+    @property
+    def is_distinct(self) -> bool:
+        return self.kind == "distinct"
+
+    @property
+    def is_unknown(self) -> bool:
+        return self.kind == "unknown"
+
+    def __str__(self) -> str:
+        if self.kind == "unknown" and self.reason:
+            return f"Unknown ({self.reason})"
+        return self.kind.capitalize()
 
 
 @dataclass(frozen=True)
@@ -109,8 +126,9 @@ def _normalize_and_compare(lhs: Term, rhs: Term, fuel: Fuel) -> tuple[EqVerdict,
     if isinstance(right, OutOfFuel):
         stuck.append(f"right side out of fuel after {right.steps} steps")
     if stuck:
-        return unknown("; ".join(stuck)), steps, left.term
-    return (EQUAL if alpha_eq(left.term, right.term) else DISTINCT), steps, left.term
+        return EqVerdict("unknown", "; ".join(stuck)), steps, left.term
+    kind = "equal" if alpha_eq(left.term, right.term) else "distinct"
+    return EqVerdict(kind), steps, left.term
 
 
 def beta_eta_eq(t1: Term, t2: Term, fuel: Fuel = DEFAULT_FUEL) -> EqVerdict:

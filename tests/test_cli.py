@@ -155,6 +155,18 @@ def test_defs_file_not_utf8_is_one_line(capsys, tmp_path):
 
 
 
+def test_defs_file_with_a_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.lam"
+    path.write_bytes("\ufefftwo = \\f.\\x.f (f x);\n".encode("utf-8"))
+    code, out, err = run(capsys, "eval", "--defs", str(path), "two")
+    assert (code, out, err) == (0, "\\f.\\x.f (f x)\nsteps: 0 beta, 0 eta\n", "")
+    # Offsets and columns count from after the mark.
+    path.write_bytes("\ufeffI = ;\n".encode("utf-8"))
+    code, out, err = run(capsys, "eval", "--defs", str(path), "I")
+    assert (code, out) == (1, "")
+    assert err == f"{path}:1:5: syntax error: at offset 4: expected a term, found ';'\n"
+
+
 def test_defs_syntax_error_names_the_file_line_and_column(capsys, tmp_path):
     path = tmp_path / "defs.lam"
     path.write_text("I = \\x.x\nK = \\x.\\y.x;\n")
@@ -264,6 +276,29 @@ def test_eval_too_deep_for_the_engine_is_one_line():
     body = r"\f.\x." + "f (" * 2_999 + "f y" + ")" * 2_999
     code, out, err = run_fresh("eval", "(\\y." + body + r") (\u.u)")
     assert (code, out, err) == (1, "", "term nests too deep for the engine\n")
+
+
+# Each module is imported first in a new interpreter, under an empty
+# numlam package, so that its own imports run before any other module's and
+# an import cycle between two modules shows up whichever is imported first.
+IMPORT_ALONE = """
+import importlib, sys, types
+package = types.ModuleType("numlam")
+package.__path__ = [sys.argv[1]]
+sys.modules["numlam"] = package
+importlib.import_module("numlam." + sys.argv[2])
+"""
+MODULES = sorted(p.stem for p in (Path(__file__).resolve().parent.parent / "src" / "numlam").glob("*.py"))
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+def test_each_module_imports_on_its_own(module):
+    package = str(Path(__file__).resolve().parent.parent / "src" / "numlam")
+    assert run_fresh(package, module, python=("-c", IMPORT_ALONE)) == (0, "", "")
+
+
+def test_the_package_imports_in_a_new_interpreter():
+    assert run_fresh(python=("-c", "import numlam")) == (0, "", "")
 
 
 # Pickle and deepcopy take a term apart into a flat list and rebuild it
