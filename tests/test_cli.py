@@ -288,13 +288,12 @@ package.__path__ = [sys.argv[1]]
 sys.modules["numlam"] = package
 importlib.import_module("numlam." + sys.argv[2])
 """
-MODULES = sorted(p.stem for p in (Path(__file__).resolve().parent.parent / "src" / "numlam").glob("*.py"))
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "numlam"
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
 def test_each_module_imports_on_its_own(module):
-    package = str(Path(__file__).resolve().parent.parent / "src" / "numlam")
-    assert run_fresh(package, module, python=("-c", IMPORT_ALONE)) == (0, "", "")
+    assert run_fresh(str(PACKAGE), module, python=("-c", IMPORT_ALONE)) == (0, "", "")
 
 
 def test_the_package_imports_in_a_new_interpreter():
