@@ -418,7 +418,7 @@ def test_json_output_is_pinned(capsys, argv, golden, exit_code):
 
 
 # The help text shows each default; argparse wraps it to COLUMNS.
-@pytest.mark.parametrize("command", ["eval", "check"])
+@pytest.mark.parametrize("command", ["eval", "check", "definable"])
 def test_help_text_is_pinned(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")
     code, out, _ = run(capsys, command, "--help")
