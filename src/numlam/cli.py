@@ -2,11 +2,11 @@
 
 Commands: eval, numeral, check, head, eq, definable.  Results go to stdout,
 diagnostics to stderr.  Exit codes: 0 success/pass (and --help), 1 failure or
-bad input (a usage error, a negative --upto, or a term that nests too deep for
-the engine's recursive walks, each with a one-line message), 2 out of fuel,
-3 inconclusive (fuel ran out inside a check, the check had no cases, or the
-requested combinator is absent).  `eq` exits 0 on Equal, 1 on Distinct and 3
-on Unknown.
+bad input (a usage or syntax error, a bad --defs file, an unknown system, a
+negative index or --upto, or --fuel below 1, each with a one-line message),
+2 out of fuel, 3 inconclusive (fuel ran out inside a check, the check had no
+cases, or the requested combinator is absent).  `eq` exits 0 on Equal, 1 on
+Distinct and 3 on Unknown.
 """
 
 from __future__ import annotations
@@ -195,9 +195,9 @@ def cmd_eq(args) -> int:
 
 
 _FUNCTIONS = {
-    "id": (harness.NumericFunction(1, lambda n: n), 50),
-    "succ": (harness.NumericFunction(1, lambda n: n + 1), 50),
-    "step01": (harness.NumericFunction(1, lambda n: 0 if n == 0 else 1), 50),
+    "id": (harness.NumericFunction(1, lambda n: n), harness.DEFAULT_UPTO),
+    "succ": (harness.NumericFunction(1, lambda n: n + 1), harness.DEFAULT_UPTO),
+    "step01": (harness.NumericFunction(1, lambda n: 0 if n == 0 else 1), harness.DEFAULT_UPTO),
     "k": (harness.k_function(), 11),  # binary: the grid grows quadratically
 }
 
@@ -279,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", choices=sorted(_FUNCTIONS), required=True,
                    help="function to check against")
     p.add_argument("--upto", type=int, default=None,
-                   help="bound for the point grid (default 50, or 11 for k)")
+                   help=f"bound for the point grid (default {harness.DEFAULT_UPTO}, "
+                        f"or {_FUNCTIONS['k'][1]} for k)")
     p.set_defaults(run=cmd_definable)
 
     return parser
@@ -306,10 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAIL
     except UnicodeDecodeError as err:
         print(f"{args.defs}: not UTF-8 text ({err})", file=sys.stderr)
-        return EXIT_FAIL
-    except RecursionError:
-        # Some term walks still recurse once per nesting level.
-        print("term nests too deep for the engine", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -172,9 +172,9 @@ def _church_zero_test() -> Term:
     return Lam("n", app(Var("n"), Lam("x", F), T))
 
 
-def _barendregt_system() -> NumeralSystem:
+def _barendregt_system(name: str) -> NumeralSystem:
     return NumeralSystem(
-        "barendregt",
+        name,
         barendregt,
         successor=Lam("x", mk_pair(F, Var("x"))),
         predecessor=Lam("x", App(Var("x"), F)),
@@ -183,9 +183,9 @@ def _barendregt_system() -> NumeralSystem:
     )
 
 
-def _church_system() -> NumeralSystem:
+def _church_system(name: str) -> NumeralSystem:
     return NumeralSystem(
-        "church",
+        name,
         church,
         successor=_church_successor(),
         predecessor=_church_predecessor(),
@@ -193,16 +193,16 @@ def _church_system() -> NumeralSystem:
     )
 
 
-def _a_system() -> NumeralSystem:
+def _a_system(name: str) -> NumeralSystem:
     return NumeralSystem(
-        "a",
+        name,
         a_numeral,
         successor=lam("n", "x", Var("n")),
         predecessor=Lam("n", App(Var("n"), I)),
     )
 
 
-def _b_system() -> NumeralSystem:
+def _b_system(name: str) -> NumeralSystem:
     succ = Lam(
         "n",
         mk_pair(
@@ -211,25 +211,25 @@ def _b_system() -> NumeralSystem:
         ),
     )
     return NumeralSystem(
-        "b",
+        name,
         b_numeral,
         successor=succ,
         zero_test=Lam("n", App(Var("n"), T)),
     )
 
 
-def _bprime_system() -> NumeralSystem:
-    return NumeralSystem("bprime", bprime_numeral)
+def _bprime_system(name: str) -> NumeralSystem:
+    return NumeralSystem(name, bprime_numeral)
 
 
-def _tilde_system() -> NumeralSystem:
+def _tilde_system(name: str) -> NumeralSystem:
     flip = lam("x", "y", App(Var("y"), Var("x")))
     # In the predecessor, the inner combinators deliberately reference the
     # x bound at the top: they are built inside that scope, capture intended.
     shift = lam("a", "b", "c", "d", app(Var("d"), Var("a"), App(Var("c"), Var("x"))))
     unwind = Lam("y", app(Var("y"), shift, I))
     return NumeralSystem(
-        "tilde",
+        name,
         tilde_numeral,
         successor=lam("n", "x", app(Var("n"), Var("x"), Var("x"))),
         predecessor=lam("n", "x", app(Var("n"), unwind, F)),
@@ -247,8 +247,8 @@ def _c_system(sequence: SequenceSpec) -> NumeralSystem:
     )
 
 
-# The builders of the systems that take no sequence; c takes one.
-_BUILDERS: dict[str, Callable[[], NumeralSystem]] = {
+# The builders of the systems that take no sequence, called with their name.
+_BUILDERS: dict[str, Callable[[str], NumeralSystem]] = {
     "church": _church_system,
     "barendregt": _barendregt_system,
     "a": _a_system,
@@ -270,7 +270,7 @@ def builtin_system(name: str, sequence: SequenceSpec | None = None) -> NumeralSy
     builder = _BUILDERS.get(name)
     if builder is None:
         raise UnknownSystemError(name)
-    return builder()
+    return builder(name)
 
 
 # ---------------------------------------------------------------------------

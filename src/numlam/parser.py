@@ -206,25 +206,21 @@ def parse_program(text: str, base: Program | None = None) -> Program:
     env = dict(defs)
     leaves: dict[str, Var] = {}
     i = 0
-    try:
-        while toks[i] is not _END:
-            name = toks[i][0]
-            if not name:
-                raise _unexpected(text, i, "a definition name")
-            if name in env:
-                raise _stray(text) or DuplicateNameError(name, _pieces(text)[i].start())
-            if toks[i + 1][1] != "=":
-                raise _unexpected(text, i + 1, "'='")
-            body, i = _term(text, toks, i + 2, leaves)
-            if toks[i][1] != ";":
-                raise _unexpected(text, i, "';'")
-            i += 1
-            body = _inline(body, env)
-            defs.append((name, body))
-            env[name] = body
-    except RecursionError as err:
-        # Inlining an earlier definition into a deep body still recurses.
-        raise _stray(text) or err
+    while toks[i] is not _END:
+        name = toks[i][0]
+        if not name:
+            raise _unexpected(text, i, "a definition name")
+        if name in env:
+            raise _stray(text) or DuplicateNameError(name, _pieces(text)[i].start())
+        if toks[i + 1][1] != "=":
+            raise _unexpected(text, i + 1, "'='")
+        body, i = _term(text, toks, i + 2, leaves)
+        if toks[i][1] != ";":
+            raise _unexpected(text, i, "';'")
+        i += 1
+        body = _inline(body, env)
+        defs.append((name, body))
+        env[name] = body
     return Program(tuple(defs))
 
 

@@ -138,10 +138,8 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     the partial term and the step count are those of that many single steps
     from the root, so `beta_normalize(t, Fuel(1))` is one step.  A normal t
     comes back as the same object, and subtrees the reduction leaves
-    unchanged are shared with t.  The pass does not recurse; the
-    substitution walk recurses into the arguments of a contractum's spines.
-    A marked abstraction (see `terms`) is a normal leaf, though it is still
-    contracted when applied.
+    unchanged are shared with t.  A marked abstraction (see `terms`) is a
+    normal leaf, though it is still contracted when applied.
 
     The pass runs the machine (see above) in the order of Sestoft
     ("Demonstrating lambda calculus reduction", 2002): it head-reduces a

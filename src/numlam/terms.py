@@ -3,7 +3,7 @@
 Terms are immutable trees of `Var`, `Lam`, and `App` nodes carrying string
 identifiers.  Structural equality of `Term` values is *not* alpha-equivalence;
 use `alpha_eq`, one walk over both terms in step that pairs up their
-binders.  All operations are pure.
+binders.  All operations are pure, and none recurses on the depth of a term.
 
 Every node carries the set of its free variables, which its constructor
 works out from its children, so `free_vars` reads it and never walks.  The
@@ -43,17 +43,16 @@ _NAME_SETS: dict[str, frozenset[str]] = {}
 _SETS: dict[frozenset[str], frozenset[str]] = {}
 
 
-# The three node classes keep the frozen dataclass's ==, hash, repr and
-# FrozenInstanceError, but their hand-written __init__ stores through the
+# The three node classes keep the frozen dataclass's FrozenInstanceError
+# and __match_args__, but their hand-written __init__ stores through the
 # slot descriptors (taken below the classes), about twice as fast as the
-# generated one.  Each class has an `_fv` field, its free variables, kept
-# out of ==, hash, repr and __match_args__.  All three share one
-# __reduce__ (`_reduce`, below).
+# generated one.  `_fv`, the free variables, is left out of __match_args__
+# and of the ==, hash, repr and __reduce__ they share (the dataclass's recurse).
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Var:
     name: str
-    _fv: frozenset = field(init=False, repr=False, compare=False)
+    _fv: frozenset = field(init=False)
 
     def __init__(self, name: str) -> None:
         _set_name(self, name)
@@ -64,12 +63,12 @@ class Var:
         _set_var_fv(self, fv)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Lam:
     binder: str
     body: "Term"
     # For a closed abstraction, a mark once a reduction has found it normal.
-    _fv: frozenset = field(init=False, repr=False, compare=False)
+    _fv: frozenset = field(init=False)
 
     def __init__(self, binder: str, body: "Term") -> None:
         _set_binder(self, binder)
@@ -83,11 +82,11 @@ class Lam:
         _set_lam_fv(self, fv)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class App:
     fn: "Term"
     arg: "Term"
-    _fv: frozenset = field(init=False, repr=False, compare=False)
+    _fv: frozenset = field(init=False)
 
     def __init__(self, fn: "Term", arg: "Term") -> None:
         _set_fn(self, fn)
@@ -144,10 +143,10 @@ class _EtaForm(frozenset):
 
 
 def _reduce(self):
-    """How pickle and deepcopy take a term apart, without recursion:
-    `_rebuild` and the list of its nodes, children first, each once: a Var
-    as its name, a Lam as (binder, body, marked beta-eta-normal) and an App
-    as (fn, arg), with each child given as its place in the list."""
+    """How pickle and deepcopy take a term apart: `_rebuild` and the list
+    of its nodes, children first, each once: a Var as its name, a Lam as
+    (binder, body, marked beta-eta-normal) and an App as (fn, arg), with
+    each child given as its place in the list."""
     code = []
     index: dict[int, int] = {}
     stack = [self]
@@ -185,6 +184,45 @@ def _rebuild(code: list) -> Term:
     return built[-1]
 
 
+def _eq(self, other):
+    """The same shape, names and binders: one walk over both terms in step,
+    which takes a subtree they share as equal without walking it."""
+    if type(other) is not type(self):
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        cls = type(a)
+        if cls is App and type(b) is App:
+            stack += ((a.arg, b.arg), (a.fn, b.fn))
+        elif cls is Lam and type(b) is Lam and a.binder == b.binder:
+            stack.append((a.body, b.body))
+        elif not (cls is Var and type(b) is Var and a.name == b.name):
+            return False
+    return True
+
+
+def _repr(self) -> str:
+    """The dataclass's text, such as Lam(binder='x', body=Var(name='x'))."""
+    parts: list[str] = []
+    stack: list = [self]
+    while stack:
+        item = stack.pop()
+        if type(item) is Lam:
+            stack += (")", item.body, f"Lam(binder={item.binder!r}, body=")
+        elif type(item) is App:
+            stack += (")", item.arg, ", arg=", item.fn, "App(fn=")
+        else:
+            parts.append(item if type(item) is str else f"Var(name={item.name!r})")
+    return "".join(parts)
+
+
+Var.__eq__ = Lam.__eq__ = App.__eq__ = _eq
+# == terms have the same repr.
+Var.__hash__ = Lam.__hash__ = App.__hash__ = lambda self: hash(_repr(self))
+Var.__repr__ = Lam.__repr__ = App.__repr__ = _repr
 Var.__reduce__ = Lam.__reduce__ = App.__reduce__ = _reduce
 
 
@@ -269,8 +307,7 @@ _LEAVE = object()
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """True iff t1 and t2 differ only in the names of bound variables.
 
-    One iterative walk over both terms in step, so the depth of the terms
-    is not bounded by the recursion limit.  The walk numbers each pair of
+    One walk over both terms in step, which numbers each pair of
     abstractions it enters, and each side maps a name to the number of the
     innermost binder of that name in scope: two variables agree when both
     are bound by the same pair, or both are free and have the same name.
@@ -322,9 +359,7 @@ def substitute(t: Term, s: Substitution) -> Term:
     Bound variables are renamed (by appending primes) only when a
     replacement would otherwise be captured, so output is deterministic.
     A subtree in which no substituted name is free is shared with the
-    input, without a walk: the walk calls itself only on the children that
-    hold a substituted name, and puts the replacement in place of a child
-    that is such a variable without a call.
+    input, and the walk does not enter it.
     """
     names = frozenset(s)
     if t._fv.isdisjoint(names):
@@ -335,41 +370,82 @@ def substitute(t: Term, s: Substitution) -> Term:
 def _substitute(node: Term, m: Substitution, names: frozenset[str], risk: frozenset[str]) -> Term:
     """node[m], for a node that holds a name of m: names is the set of m's
     keys and risk the union of the free variables of m's values, the names
-    a binder may capture.  When risk is empty nothing is renamed.  The walk
-    loops down a left spine, recursing into its arguments and its head."""
-    # Exact class tests: the hot path, and Var, Lam and App have no
-    # subclasses.  A child that holds a name of m and is a Var is that name.
-    cls = type(node)
-    if cls is App:
-        up = None
-        while type(node.fn) is App and not node.fn._fv.isdisjoint(names):
-            up = (node, up)
-            node = node.fn
-        fn = node.fn
-        if not fn._fv.isdisjoint(names):
-            fn = m[fn.name] if type(fn) is Var else _substitute(fn, m, names, risk)
+    a binder may capture.  When risk is empty nothing is renamed.
+
+    The walk loops down a left spine, `up` the applications above node.  A
+    frame awaits a child's value: an abstraction (or a stand-in with its
+    renamed binder) its body's, and (app, up, fn, m, names, risk) that of
+    app's function if fn is None, else its argument's."""
+    stack: list = []
+    while True:
+        # Down: node holds a name of m (a Var that holds one is that name).
+        # Exact class tests, for speed: no node class has subclasses.
+        cls = type(node)
+        if cls is App:
+            up = None
+            fn = node.fn
+            while type(fn) is App and not fn._fv.isdisjoint(names):
+                up = (node, up)
+                node = fn
+                fn = node.fn
+            if not fn._fv.isdisjoint(names):
+                if type(fn) is not Var:
+                    stack.append((node, up, None, m, names, risk))
+                    node = fn
+                    continue
+                fn = m[fn.name]
+        elif cls is Var:
+            new = m[node.name]
+            fn = None
+        else:
+            # A name of m that node holds is not its binder, so the body
+            # holds a name of the map it is walked with.
+            x = node.binder
+            if x in names:
+                m = {k: v for k, v in m.items() if k != x}
+                names = names - {x}
+            if x in risk and any(x in m[k]._fv for k in names & node._fv):
+                x = fresh_name(x, set(node.body._fv).union(*(m[k]._fv for k in names & node.body._fv)))
+                m = {**m, node.binder: Var(x)}
+                names = names | {node.binder}
+                risk = risk | {x}
+                # A renamed binder changes the body, so node is not kept.
+                node = Lam(x, node.body)
+            if type(node.body) is not Var:
+                stack.append(node)
+                node = node.body
+                continue
+            new = m[node.body.name]
+            new = node if new is node.body else Lam(node.binder, new)
+            fn = None
+        # Up: fn, if set, is the value of node.fn, which awaits that of its
+        # argument; new is the value of the child the frame on top awaits.
         while True:
-            a = node.arg
-            if not a._fv.isdisjoint(names):
-                a = m[a.name] if type(a) is Var else _substitute(a, m, names, risk)
-            fn = node if fn is node.fn and a is node.arg else App(fn, a)
-            if up is None:
-                return fn
-            node, up = up
-    if cls is Var:
-        return m[node.name]
-    # A name of m that node holds is not its binder, so the body holds a
-    # name of the map it is walked with.
-    x = node.binder
-    body = node.body
-    if x in names:
-        m = {k: v for k, v in m.items() if k != x}
-        names = names - {x}
-    if x in risk and any(x in m[k]._fv for k in names & node._fv):
-        x = fresh_name(x, set(body._fv).union(*(m[k]._fv for k in names & body._fv)))
-        m = {**m, node.binder: Var(x)}
-        names = names | {node.binder}
-        risk = risk | {x}
-    new = m[body.name] if type(body) is Var else _substitute(body, m, names, risk)
-    # A renamed binder changes the body, so an unchanged body keeps node.
-    return node if new is body else Lam(x, new)
+            if fn is not None:
+                a = node.arg
+                if not a._fv.isdisjoint(names):
+                    if type(a) is not Var:
+                        stack.append((node, up, fn, m, names, risk))
+                        node = a
+                        break
+                    a = m[a.name]
+                new = node if fn is node.fn and a is node.arg else App(fn, a)
+                if up is not None:
+                    node, up = up
+                    fn = new
+                    continue
+                fn = None
+            if not stack:
+                return new
+            frame = stack.pop()
+            if type(frame) is Lam:
+                new = frame if new is frame.body else Lam(frame.binder, new)
+                continue
+            node, up, fn, m, names, risk = frame
+            if fn is not None:
+                new = node if fn is node.fn and new is node.arg else App(fn, new)
+                if up is None:
+                    fn = None
+                    continue
+                node, up = up
+            fn = new

@@ -13,6 +13,10 @@ and the parser and printer of `numlam.parser` as they were before tokens
 were found by one regex pass, `parse_term`, `parse_program` and `pretty`
 with their tokenizer, which here call the copied `mk_pair` and
 `substitute` and raise the library's `ParseError` and `DuplicateNameError`.
+Last, `_substitute` is the substitution walk of `numlam.terms` over a map
+as it was before it kept its pending work on a stack: it reads the free
+variables each node holds, loops down a left spine and calls itself on the
+arguments, heads and bodies that hold a substituted name.
 Do not edit them to follow the library: they are what the
 library must agree with, structurally and step for step.
 """
@@ -521,3 +525,46 @@ def pretty(t: Term) -> str:
             else:
                 stack.append(node.name)
     return "".join(parts)
+
+
+def _substitute(node: Term, m: Substitution, names: frozenset[str], risk: frozenset[str]) -> Term:
+    """node[m], for a node that holds a name of m: names is the set of m's
+    keys and risk the union of the free variables of m's values, the names
+    a binder may capture.  When risk is empty nothing is renamed.  The walk
+    loops down a left spine, recursing into its arguments and its head."""
+    # Exact class tests: the hot path, and Var, Lam and App have no
+    # subclasses.  A child that holds a name of m and is a Var is that name.
+    cls = type(node)
+    if cls is App:
+        up = None
+        while type(node.fn) is App and not node.fn._fv.isdisjoint(names):
+            up = (node, up)
+            node = node.fn
+        fn = node.fn
+        if not fn._fv.isdisjoint(names):
+            fn = m[fn.name] if type(fn) is Var else _substitute(fn, m, names, risk)
+        while True:
+            a = node.arg
+            if not a._fv.isdisjoint(names):
+                a = m[a.name] if type(a) is Var else _substitute(a, m, names, risk)
+            fn = node if fn is node.fn and a is node.arg else App(fn, a)
+            if up is None:
+                return fn
+            node, up = up
+    if cls is Var:
+        return m[node.name]
+    # A name of m that node holds is not its binder, so the body holds a
+    # name of the map it is walked with.
+    x = node.binder
+    body = node.body
+    if x in names:
+        m = {k: v for k, v in m.items() if k != x}
+        names = names - {x}
+    if x in risk and any(x in m[k]._fv for k in names & node._fv):
+        x = fresh_name(x, set(body._fv).union(*(m[k]._fv for k in names & body._fv)))
+        m = {**m, node.binder: Var(x)}
+        names = names | {node.binder}
+        risk = risk | {x}
+    new = m[body.name] if type(body) is Var else _substitute(body, m, names, risk)
+    # A renamed binder changes the body, so an unchanged body keeps node.
+    return node if new is body else Lam(x, new)

@@ -17,9 +17,8 @@ def run(capsys, *argv):
 
 
 def run_fresh(*argv, python=("-m", "numlam.cli")):
-    """Run the CLI, or other `python` arguments, in a new interpreter.
-    tests/conftest.py raises the recursion limit of this process; the new
-    one keeps Python's default."""
+    """Run the CLI, or other `python` arguments, in a new interpreter,
+    which starts at Python's default recursion limit."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -261,8 +260,12 @@ def test_eval_deep_numeral_at_the_default_recursion_limit():
     assert out == church_text(600) + "\nsteps: 0 beta, 0 eta\n"
 
 
-def test_eval_too_deep_for_the_engine_is_one_line():
-    # The eta pass no longer recurses, so a normal numeral this deep prints.
+def deep_body(leaf):
+    """The body of church_text(3_000), with leaf for its x."""
+    return r"\f.\x." + "f (" * 2_999 + f"f {leaf}" + ")" * 2_999
+
+
+def test_eval_deep_terms_at_the_default_recursion_limit():
     code, out, err = run_fresh("eval", church_text(3_000))
     assert code == 0, err
     assert out == church_text(3_000) + "\nsteps: 0 beta, 0 eta\n"
@@ -271,11 +274,25 @@ def test_eval_too_deep_for_the_engine_is_one_line():
     code, out, err = run_fresh("eval", "(\\y." + church_text(3_000) + r") (\u.u)")
     assert code == 0, err
     assert out == church_text(3_000) + "\nsteps: 1 beta, 0 eta\n"
-    # Substituting into a body that deep still reaches the walk of
-    # substitute, which recurses: one line and exit 1.
-    body = r"\f.\x." + "f (" * 2_999 + "f y" + ")" * 2_999
-    code, out, err = run_fresh("eval", "(\\y." + body + r") (\u.u)")
-    assert (code, out, err) == (1, "", "term nests too deep for the engine\n")
+    # Substituting into a body that deep walks it on a stack.
+    code, out, err = run_fresh("eval", "(\\y." + deep_body("y") + r") (\u.u)")
+    assert (code, err) == (0, "")
+    assert out == deep_body(r"(\u.u)") + "\nsteps: 1 beta, 0 eta\n"
+
+
+def test_eval_inlines_a_definition_into_a_deep_body(tmp_path):
+    defs = tmp_path / "deep.lam"
+    defs.write_text("a = \\u.u;\nb = " + deep_body("a") + ";\n", encoding="utf-8")
+    code, out, err = run_fresh("eval", "--defs", str(defs), "b")
+    assert (code, err) == (0, "")
+    assert out == deep_body(r"(\u.u)") + "\nsteps: 0 beta, 0 eta\n"
+
+
+def test_check_church_up_to_a_thousand():
+    code, out, err = run_fresh("check", "church", "succ", "--upto", "1000")
+    assert (code, out, err) == (0, "succ: pass (1000 passed, 0 failed, 0 unknown)\n", "")
+    code, out, err = run_fresh("check", "church", "zero", "--upto", "999")
+    assert (code, out, err) == (0, "zero: pass (999 passed, 0 failed, 0 unknown)\n", "")
 
 
 # Each module is imported first in a new interpreter, under an empty
@@ -300,9 +317,8 @@ def test_the_package_imports_in_a_new_interpreter():
     assert run_fresh(python=("-c", "import numlam")) == (0, "", "")
 
 
-# Pickle and deepcopy take a term apart into a flat list and rebuild it
-# without recursion.  The dataclass == recurses, so the copies are compared
-# by alpha_eq and pretty.
+# Pickle and deepcopy take a term apart into a flat list and rebuild it,
+# and ==, hash and repr walk a term on a stack.
 DEEP_CLONES = """
 import copy, pickle, sys
 from numlam import App, alpha_eq, beta_eta_normalize, church, pretty
@@ -310,9 +326,14 @@ from numlam.terms import _BETA_ETA_NORMAL
 d = church(3000)
 assert beta_eta_normalize(d).term is d and d._fv is _BETA_ETA_NORMAL
 shared = App(d, d)
+text = "App(fn=" + repr(church(3000)) + ", arg=" + repr(church(3000)) + ")"
+assert repr(shared) == text and repr(d).count("App(fn=Var(name='f'), arg=") == 3000
 for clone in (pickle.loads(pickle.dumps(shared)), copy.deepcopy(shared)):
     assert clone.fn is clone.arg is not d and clone.fn._fv is _BETA_ETA_NORMAL
     assert alpha_eq(clone, shared) and pretty(clone) == pretty(shared)
+    assert clone == shared and hash(clone) == hash(shared) and repr(clone) == text
+    assert clone.fn == church(3000) != church(2999)
+    assert hash(clone.fn) == hash(church(3000))
 print(sys.getrecursionlimit())
 """
 

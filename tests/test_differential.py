@@ -49,6 +49,7 @@ from numlam import (
     is_beta_eta_normal,
     mk_pair,
     parse_term,
+    pretty,
     spz_from_k,
     substitute,
 )
@@ -501,8 +502,8 @@ def test_contracting_a_chain_of_closed_arguments_matches_oracle(monkeypatch):
 
     monkeypatch.setattr(reduction, "_beta_pass", run)
     monkeypatch.setattr(reduction, "_contract", counting)
-    # The machine calls the walk as reduction.substitute, and the walk
-    # calls itself by its name in terms.
+    # The machine calls the walk as reduction.substitute, and
+    # terms.substitute as _substitute.
     monkeypatch.setattr(reduction, "substitute", renaming)
     monkeypatch.setattr(numlam_terms, "_substitute", renaming)
     rng = random.Random(1931)
@@ -926,6 +927,97 @@ def test_a_clean_beta_pass_skips_the_eta_pass(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The walk on a stack against the recursive walk it replaced
+
+def walk_like_recursion(t, m):
+    """terms._substitute(t, m), which must be == to the recursive walk's
+    result, oracle._substitute, and so carry the same binder names, and
+    must share the same nodes: at each place the two results hold one
+    object, or each a node that neither t nor a value of m holds."""
+    names = frozenset(m)
+    risk = frozenset().union(*(v._fv for v in m.values()))
+    out = numlam_terms._substitute(t, m, names, risk)
+    expected = oracle._substitute(t, m, names, risk)
+    assert out == expected
+    given = {id(node) for term in (t, *m.values()) for node in preorder(term)}
+    pairs = [(out, expected)]
+    while pairs:
+        a, b = pairs.pop()
+        if a is b:
+            continue
+        assert id(a) not in given and id(b) not in given
+        if isinstance(a, Lam):
+            pairs.append((a.body, b.body))
+        elif isinstance(a, App):
+            pairs += ((a.fn, b.fn), (a.arg, b.arg))
+    return out
+
+
+def test_substitution_walk_matches_the_recursive_walk_on_seeded_corpus():
+    """Maps whose values hold binder names of the term, so binders are
+    renamed; and maps onto the very Var the term holds, as the parser
+    shares one Var per name, so whole subtrees come back as themselves."""
+    rng = random.Random(2201)
+    renamed = itself = kept = 0
+    for _ in range(2500):
+        t = random_term(rng, rng.randint(1, 40), free_pool=NAMES)
+        if rng.random() < 0.3:
+            t = parse_term(pretty(t))
+        free = sorted(free_vars(t))
+        if not free:
+            continue
+        if rng.random() < 0.7:
+            m = open_substitution(rng, t)
+            m[rng.choice(free)] = random_term(rng, rng.randint(1, 8), free_pool=BINDER_POOL)
+        else:
+            occurrences = [node for node in preorder(t) if isinstance(node, Var) and node.name in free]
+            m = {node.name: node for node in rng.sample(occurrences, rng.randint(1, len(occurrences)))}
+            itself += 1
+        out = walk_like_recursion(t, m)
+        kept += out is t
+        renamed += bool(binders(out) - binders(t) - set().union(*map(binders, m.values())))
+        assert_caches_sound(out)
+    assert renamed > 200 and itself > 500 and kept > 400, (renamed, itself, kept)
+
+
+def church_body(depth, leaf):
+    """f (f (… (f leaf))), nested along its arguments."""
+    for _ in range(depth):
+        leaf = App(Var("f"), leaf)
+    return leaf
+
+
+def binder_chain(depth, body):
+    """λa0.λa1.….body, nested along its bodies."""
+    for i in reversed(range(depth)):
+        body = Lam(f"a{i}", body)
+    return body
+
+
+def test_substitution_walk_is_stack_safe():
+    """Terms deeper than the recursion limit the tests run at (hypothesis
+    raises it to about 2,000 while a test runs), checked against terms
+    built directly, with the walk's ==."""
+    depth = 10_000
+    t = church_body(depth, Var("y"))
+    assert substitute(t, {"y": I}) == church_body(depth, I)
+    t = binder_chain(depth, App(Var("y"), Var("a0")))
+    assert substitute(t, {"y": Var("z")}) == binder_chain(depth, App(Var("z"), Var("a0")))
+    # The binder x under 5,000 levels of each kind captures the x of the
+    # replacement, so it is renamed.
+    inner = Lam("x", App(Var("y"), Var("x")))
+    renamed = Lam("x'", App(Var("x"), Var("x'")))
+    t = church_body(5_000, binder_chain(5_000, inner))
+    out = substitute(t, {"y": Var("x")})
+    assert out == church_body(5_000, binder_chain(5_000, renamed))
+    assert hash(out) == hash(church_body(5_000, binder_chain(5_000, renamed)))
+    # Where nothing changes, the term comes back as itself.
+    y = Var("y")
+    t = church_body(depth, binder_chain(depth, App(y, y)))
+    assert substitute(t, {"y": y}) is t
+
+
+# ---------------------------------------------------------------------------
 # Generated by hypothesis
 
 names = st.sampled_from(NAMES)
@@ -943,6 +1035,8 @@ DIFFERENTIAL = settings(max_examples=300, deadline=None, derandomize=True, datab
 def test_substitute_matches_oracle_on_generated_terms(t, s):
     out = substitute(t, s)
     assert out == oracle.substitute(t, s)
+    if not free_vars(t).isdisjoint(s):
+        assert walk_like_recursion(t, s) == out
     assert_free_vars_agree(t)
     assert_free_vars_agree(out)
 

@@ -422,10 +422,9 @@ def test_a_character_that_starts_no_token_is_reported_first(parse, text, where):
 
 
 def test_a_character_that_starts_no_token_is_reported_before_a_deep_term_fails():
-    # The terms are deeper than the recursion limit.  Building them walks
-    # nothing, but inlining `a` into the body of `p` substitutes into it,
-    # and that walk recurses.
-    depth = sys.getrecursionlimit() + 1000
+    # The terms are far deeper than the recursion limit, and inlining `a`
+    # into the body of `p` substitutes into it.
+    depth = 21_000
     text = "<" + "\\x." * depth + "x, y> #"
     assert outcome(parse_term, text) == (ParseError, len(text) - 1, "a term", "#")
     program = "p = " + text[:-2] + "; q = #;"

@@ -71,12 +71,10 @@ def test_beta_normalize_is_stack_safe():
     out = beta_normalize(t)
     assert isinstance(out, Normal) and out.steps == 1
     assert beta_normalize(out.term).term is out.term
-    # Dataclass == recurses, so walk the result down its spine.
-    node = out.term.body.body
+    expected = Var("x")
     for _ in range(depth):
-        assert node.fn == Var("f")
-        node = node.arg
-    assert node == Var("x")
+        expected = App(Var("f"), expected)
+    assert out.term == Lam("f", Lam("x", expected))
 
 
 

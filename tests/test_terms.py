@@ -14,6 +14,7 @@ from numlam import (
     alpha_eq,
     app,
     barendregt,
+    beta_eta_normalize,
     free_vars,
     is_closed,
     lam,
@@ -117,6 +118,28 @@ def test_terms_are_immutable():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, name, Var("z"))
             assert getattr(node, name) is before
+
+
+def test_equality_is_structural():
+    """== and hash compare shape, names and binders, not the set of free
+    variables or a mark; a node of another class, or no term at all, is
+    left to the other operand, as the dataclass's == left it."""
+    two, marked = barendregt(2), barendregt(2)
+    assert beta_eta_normalize(marked).term is marked and marked._fv is not two._fv
+    assert marked == two and hash(marked) == hash(two)
+    assert Lam("x", Var("x")) != Lam("y", Var("y")) and alpha_eq(Lam("x", Var("x")), Lam("y", Var("y")))
+    assert App(Var("x"), Var("y")) != App(Var("y"), Var("x"))
+    assert Lam("x", Var("x")) != Var("x") and Var("x") != "x"
+    assert Var("x").__eq__("x") is NotImplemented
+    assert Var("x").__eq__(Lam("x", Var("x"))) is NotImplemented
+    assert len({Var("x"), Var("x"), Lam("x", Var("x")), I, T, F}) == 4
+    assert [f.name for f in dataclasses.fields(Lam)] == ["binder", "body", "_fv"]
+    assert (Var.__match_args__, Lam.__match_args__, App.__match_args__) == (
+        ("name",), ("binder", "body"), ("fn", "arg"))
+    match T:
+        case Lam(x, Lam(y, Var(z))):
+            matched = (x, y, z)
+    assert matched == ("x", "y", "x")
 
 
 def test_lam_app_helpers():
