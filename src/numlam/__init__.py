@@ -51,7 +51,6 @@ from .numerals import (
     builtin_system,
     c_numeral,
     church,
-    is_generator,
     tilde_numeral,
 )
 from .harness import (
@@ -62,6 +61,7 @@ from .harness import (
     check_system,
     check_zero_test,
     church_k_term,
+    is_generator,
     k_function,
     phi_from_zero_test,
     spz_from_k,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .numerals import NumeralSystem, builtin_system
+from .numerals import NumeralSystem, SequenceSpec, builtin_system
 from .report import CheckCase, CheckReport, eq_case
 from .reduction import DEFAULT_FUEL, Fuel, is_beta_eta_normal
 from .terms import App, F, Lam, T, Term, Var, alpha_eq, app, is_closed, lam, size
@@ -124,6 +124,19 @@ def check_definable(
         label = ",".join(str(i) for i in point)
         cases.append(eq_case(f"({label})", lhs, rhs, fuel))
     return CheckReport(f"{sys.name} definability", tuple(cases))
+
+
+def is_generator(a: Term, u: SequenceSpec, upto: int, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
+    """Check (A I) against U_1 and (A ⟨U_1,…,U_n⟩) against U_{n+1} for every
+    1 ≤ n < upto.  The tuple ⟨U_1,…,U_n⟩ is the numeral d_n of c over u,
+    and U_{n+1} is the second component of d_{n+1}."""
+    if upto < 1:
+        raise ValueError("upto must be at least 1")
+    cases = [
+        eq_case(f"n={n}" if n else "base", App(a, dn), dn1.body.arg, fuel)
+        for n, dn, dn1 in _consecutive_numerals(builtin_system("c", u), upto)
+    ]
+    return CheckReport(f"generator for {u.name}", tuple(cases))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """The built-in numeral systems and their successor/predecessor/zero-test
-combinators, plus the generator notion for sequences of closed normal terms.
+combinators.
 
 A numeral system maps every natural to a closed term; the three combinator
 slots hold whatever closed terms are known for that system (None where none
@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .report import CheckReport, eq_case
-from .reduction import DEFAULT_FUEL, Fuel
 from .terms import App, F, I, Lam, T, Term, Var, app, lam, mk_pair
 
 
@@ -271,25 +269,3 @@ def builtin_system(name: str, sequence: SequenceSpec | None = None) -> NumeralSy
     if builder is None:
         raise UnknownSystemError(name)
     return builder(name)
-
-
-# ---------------------------------------------------------------------------
-# Generators
-
-def is_generator(a: Term, u: SequenceSpec, upto: int, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
-    """Check (A I) against U_1 and (A ⟨U_1,…,U_n⟩) against U_{n+1} for every
-    1 ≤ n < upto.
-
-    The tuple ⟨U_1,…,U_n⟩ is the numeral d_n of c over u, so each tuple and
-    element comes from the one before by c's step: U_{n+1} is the second
-    component of d_{n+1}."""
-    if upto < 1:
-        raise ValueError("upto must be at least 1")
-    step = _c_step(u)
-    cases = []
-    t: Term = I
-    for n in range(upto):
-        nxt = step(n, t)
-        cases.append(eq_case(f"n={n}" if n else "base", App(a, t), nxt.body.arg, fuel))
-        t = nxt
-    return CheckReport(f"generator for {u.name}", tuple(cases))

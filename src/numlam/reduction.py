@@ -11,6 +11,7 @@ take a marked one as a normal leaf, so a numeral that one check has
 normalized costs the next check nothing: the eta pass puts in the form an
 `_EtaForm` mark holds and adds its count.  When the beta pass sees that its
 normal form holds no eta-redex, `beta_eta_normalize` makes no eta pass.
+With no step to spend, the beta pass is the one test of normal form.
 """
 
 from __future__ import annotations
@@ -150,14 +151,14 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     of closed arguments meeting a chain of abstractions is contracted in
     one walk with a map, as far as the fuel goes.
     """
-    return _beta_pass(t, fuel)[0]
+    return _beta_pass(t, fuel.max_steps)[0]
 
 
-def _beta_pass(t: Term, fuel: Fuel) -> tuple[ReductionOutcome, bool]:
-    """`beta_normalize`, and whether its normal form may hold an eta-redex:
-    False only when no abstraction the pass closed is an eta-redex and
-    every marked leaf it passed is marked beta-eta-normal."""
-    max_steps = fuel.max_steps
+def _beta_pass(t: Term, max_steps: int) -> tuple[ReductionOutcome, bool]:
+    """`beta_normalize` with at most max_steps steps, and whether its normal
+    form may hold an eta-redex: False only when no abstraction the pass
+    closed is an eta-redex and every marked leaf it passed is marked
+    beta-eta-normal, and exact (an iff) when the pass made no step."""
     maybe_eta = False
     steps = 0
     # The waiting machines, outermost first: (binders, fn, spine) waits for
@@ -253,8 +254,7 @@ _REBUILD = object()
 def _eta(t: Term) -> tuple[Term, int]:
     """Contract the eta-redexes of the beta-normal t, innermost first: the
     eta-normal form and the number of contractions.  Unchanged subtrees
-    are shared with t, and an eta-normal t comes back as it is.  A
-    beta-redex in t raises NotBetaNormalError.
+    are shared with t, and an eta-normal t comes back as it is.
 
     One post-order walk over an explicit stack, so the depth of t is not
     bounded by the recursion limit: each node is visited, then its
@@ -263,9 +263,7 @@ def _eta(t: Term) -> tuple[Term, int]:
     closed one that comes back unchanged is marked so.  A closed one that
     comes back changed keeps its eta-normal form and the contractions made
     inside it in an `_EtaForm` mark, and is a leaf from then on: the walk
-    puts in the form and adds the count.  The walk visits every application
-    outside such leaves, so it meets every beta-redex; a mark set before it
-    raises is on a subtree it has walked in full."""
+    puts in the form and adds the count."""
     contracted = 0
     done: list[Term] = []
     stack: list = [t]
@@ -296,8 +294,6 @@ def _eta(t: Term) -> tuple[Term, int]:
                 _set_lam_fv(node, _EtaForm(new, contracted - entered))
             done.append(new)
         elif type(node) is App:
-            if type(node.fn) is Lam:
-                raise NotBetaNormalError("input contains a beta-redex")
             stack += (node, _REBUILD, node.arg, node.fn)
         elif type(node) is Var:
             done.append(node)
@@ -326,8 +322,10 @@ def eta_normalize(t: Term) -> Term:
     """Contract eta-redexes to a fixpoint.  Requires a beta-normal input;
     on such input the result is beta-eta-normal (contracting λx.(M x)
     inside a beta-normal term cannot create a beta-redex, since an applied
-    abstraction would already have been one).  A beta-redex in t raises
-    NotBetaNormalError."""
+    abstraction would already have been one).  A beta-redex in t, found
+    by the beta pass with no step to spend, raises NotBetaNormalError."""
+    if type(_beta_pass(t, 0)[0]) is OutOfFuel:
+        raise NotBetaNormalError("input contains a beta-redex")
     return _eta(t)[0]
 
 
@@ -335,7 +333,7 @@ def beta_eta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     """Beta-normalize t, then contract its eta-redexes.  When the beta pass
     saw that its normal form holds no eta-redex, there is no eta pass: a
     closed normal form is marked beta-eta-normal, as the eta pass would."""
-    out, maybe_eta = _beta_pass(t, fuel)
+    out, maybe_eta = _beta_pass(t, fuel.max_steps)
     if type(out) is OutOfFuel:
         return out
     if not maybe_eta:
@@ -346,24 +344,11 @@ def beta_eta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
 
 
 def is_beta_eta_normal(t: Term) -> bool:
-    """Purely syntactic: no beta-redex and no eta-redex anywhere."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        cls = type(node)
-        if cls is Lam:
-            fv = node._fv
-            if fv is _BETA_ETA_NORMAL:
-                continue
-            if type(fv) is _EtaForm or _is_eta_redex(node.binder, node.body):
-                return False
-            stack.append(node.body)
-        elif cls is App:
-            if type(node.fn) is Lam:
-                return False
-            stack.append(node.fn)
-            stack.append(node.arg)
-    return True
+    """Purely syntactic: no beta-redex and no eta-redex anywhere.  The beta
+    pass with no step to spend decides it: it stops at the first redex
+    before any contraction, so it costs one walk."""
+    out, maybe_eta = _beta_pass(t, 0)
+    return type(out) is Normal and not maybe_eta
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ import copy
 import pickle
 import random
 import sys
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
@@ -32,6 +34,7 @@ from numlam import (
     I,
     Lam,
     Normal,
+    NotBetaNormalError,
     OutOfFuel,
     T,
     Var,
@@ -924,6 +927,41 @@ def test_a_clean_beta_pass_skips_the_eta_pass(monkeypatch):
         assert type(one._fv) is _EtaForm
         assert beta_eta_normalize(t) == oracle.beta_eta_normalize(t)
     assert len(calls) == 4
+
+
+def test_normal_form_judge_matches_oracle():
+    """is_beta_eta_normal is the beta pass with no step to spend.  Over
+    random terms, head normal forms with beta- or eta-redexes put in, and
+    terms holding marked abstractions of both kinds, applied or not, it
+    gives the oracle's answer, before and after eta_normalize has marked
+    the term; eta_normalize raises exactly when the oracle finds a
+    beta-redex, and otherwise gives the oracle's eta-normal form."""
+    rng = random.Random(1215)
+    marked = marked_abstractions()
+    seen = Counter()
+    for _ in range(300):
+        hnf = random_hnf(rng)
+        for t in (
+            random_term(rng, rng.randint(1, 25)),
+            random_closed_term(rng, rng.randint(2, 25)),
+            beta_expand(hnf, rng, rng.randint(1, 3)),
+            eta_expand(hnf, rng, rng.randint(1, 3)),
+            random_spine_term(rng, marked),
+            Lam("y", app(Var("v"), *rng.sample(marked, 2))),
+        ):
+            has_beta = oracle.beta_step_normal_order(t) is not None
+            normal = oracle.is_beta_eta_normal(t)
+            seen[has_beta, normal] += 1
+            assert is_beta_eta_normal(t) == normal
+            if has_beta:
+                with pytest.raises(NotBetaNormalError):
+                    eta_normalize(t)
+            else:
+                assert eta_normalize(t) == oracle.beta_eta_normalize(t).term
+            assert is_beta_eta_normal(t) == normal
+            assert_caches_sound(t)
+    assert seen[True, False] > 800 and seen[False, False] > 100 and seen[False, True] > 500
+    assert all(is_marked(d) for d in marked)
 
 
 # ---------------------------------------------------------------------------

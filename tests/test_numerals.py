@@ -1,4 +1,6 @@
+import ast
 import functools
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +213,22 @@ def test_is_generator_with_tiny_fuel_is_inconclusive():
     report = is_generator(_church_generator(), CHURCH_SEQUENCE, 3, Fuel(1))
     assert report.overall == "inconclusive"
     assert report.unknown > 0
+
+
+def test_numerals_module_imports_only_terms():
+    """numerals is data: of the package it imports only `.terms`, so that
+    terms, numerals and the harness form one chain."""
+    path = Path(__file__).resolve().parent.parent / "src" / "numlam" / "numerals.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "numlam" if node.level else ""
+            modules = [node.module] if node.module else [a.name for a in node.names]
+            imported.update(".".join(filter(None, (base, m))) for m in modules)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert {m for m in imported if m.split(".")[0] == "numlam"} == {"numlam.terms"}
 
 
 def test_numeral_system_is_plain_data():

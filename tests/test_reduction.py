@@ -34,7 +34,6 @@ from numlam import (
     tilde_numeral,
 )
 from numlam import reduction, terms
-from numlam.terms import _BETA_ETA_NORMAL
 from termgen import beta_expand, random_closed_term, random_hnf, random_term
 
 OMEGA = parse_term(r"(\x.x x) (\x.x x)")
@@ -162,15 +161,39 @@ def test_eta_rejects_non_beta_normal_input():
     with pytest.raises(NotBetaNormalError):
         eta_normalize(parse_term(r"(\x.x) y"))
     # A redex inside an eta-redex, and one beside a closed eta-normal
-    # abstraction, which the walk marks before it meets the redex: the mark
-    # must not hide the redex from a second call.
+    # abstraction that comes first in the order of the walk: neither hides
+    # the redex, from a first call or a second.
     nested = parse_term(r"\x.((\y.y) w) x")
     beside = parse_term(r"v (\x.\y.y x) ((\z.z) w)")
     for t in (nested, beside):
         for _ in range(2):
             with pytest.raises(NotBetaNormalError):
                 eta_normalize(t)
-    assert beside.fn.arg._fv is _BETA_ETA_NORMAL
+
+
+def test_normal_form_tests_make_no_contraction(monkeypatch):
+    """is_beta_eta_normal and eta_normalize find a beta-redex with no step
+    to spend: on (λx.v x … x) ⌜3000⌝, whose contraction would put the
+    numeral in 3,000 places for the pass to walk, they contract nothing."""
+    contract = reduction._contract
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(reduction, "_contract", counting)
+    body = Var("v")
+    for _ in range(3000):
+        body = App(body, Var("x"))
+    t = App(Lam("x", body), church(3000))
+    assert not is_beta_eta_normal(t)
+    with pytest.raises(NotBetaNormalError):
+        eta_normalize(t)
+    assert calls == []
+    # The count sees a contraction of the machine.
+    assert beta_normalize(App(I, Var("y"))) == Normal(Var("y"), 1)
+    assert len(calls) == 1
 
 
 def test_beta_eta_normalize_tilde_zero_test():
