@@ -8,6 +8,7 @@ indices are independent pure computations; reports aggregate the verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable, Sequence
 
 from .numerals import NumeralSystem, SequenceSpec, builtin_system
@@ -72,21 +73,10 @@ def _numerals(sys: NumeralSystem, count: int):
         yield d
 
 
-def _consecutive_numerals(sys: NumeralSystem, upto: int):
-    """(n, d_n, d_{n+1}) for n below upto, each numeral built once."""
-    if upto < 1:
-        return
-    numerals = _numerals(sys, upto + 1)
-    cur = next(numerals)
-    for n, nxt in enumerate(numerals):
-        yield n, cur, nxt
-        cur = nxt
-
-
 def check_successor(sys: NumeralSystem, s: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
     cases = [
         eq_case(f"n={n}", app(s, dn), dn1, fuel)
-        for n, dn, dn1 in _consecutive_numerals(sys, upto)
+        for n, (dn, dn1) in enumerate(pairwise(_numerals(sys, upto + 1)))
     ]
     return CheckReport(f"{sys.name} successor", tuple(cases))
 
@@ -94,7 +84,7 @@ def check_successor(sys: NumeralSystem, s: Term, upto: int = DEFAULT_UPTO, fuel:
 def check_predecessor(sys: NumeralSystem, p: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
     cases = [
         eq_case(f"n={n + 1}", app(p, dn1), dn, fuel)
-        for n, dn, dn1 in _consecutive_numerals(sys, upto)
+        for n, (dn, dn1) in enumerate(pairwise(_numerals(sys, upto + 1)))
     ]
     return CheckReport(f"{sys.name} predecessor", tuple(cases))
 
@@ -134,7 +124,7 @@ def is_generator(a: Term, u: SequenceSpec, upto: int, fuel: Fuel = DEFAULT_FUEL)
         raise ValueError("upto must be at least 1")
     cases = [
         eq_case(f"n={n}" if n else "base", App(a, dn), dn1.body.arg, fuel)
-        for n, dn, dn1 in _consecutive_numerals(builtin_system("c", u), upto)
+        for n, (dn, dn1) in enumerate(pairwise(_numerals(builtin_system("c", u), upto + 1)))
     ]
     return CheckReport(f"generator for {u.name}", tuple(cases))
 

@@ -32,8 +32,8 @@ class NumeralSystem:
     predecessor: Term | None = None
     zero_test: Term | None = None
     # (n, d_n) -> d_{n+1} around the very d_n, for the systems whose numerals
-    # nest; the harness uses it to build numerals in order.  `numeral` loops
-    # over the same step, so both give == terms.
+    # nest, or around d_n's body for Church; the harness uses it to build
+    # numerals in order.  It gives the term == to `numeral(n + 1)`.
     _step: Callable[[int, Term], Term] | None = field(default=None, repr=False, compare=False)
 
 
@@ -188,6 +188,7 @@ def _church_system(name: str) -> NumeralSystem:
         successor=_church_successor(),
         predecessor=_church_predecessor(),
         zero_test=_church_zero_test(),
+        _step=_church_step,
     )
 
 

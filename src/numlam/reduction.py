@@ -6,10 +6,10 @@ the partial term left when the budget ran out.
 
 Beta-normalization and head reduction run on the machine described below.
 
-The passes mark the closed normal abstractions they meet (see `terms`) and
-take a marked one as a normal leaf, so a numeral that one check has
-normalized costs the next check nothing: the eta pass puts in the form an
-`_EtaForm` mark holds and adds its count.  When the beta pass sees that its
+Each pass marks the closed normal abstractions it proves normal (see
+`terms`) and takes a marked one as a normal leaf, so a numeral that one
+check has normalized costs the next check nothing: the eta pass puts in
+the form a mark holds and adds its count.  When the beta pass sees that its
 normal form holds no eta-redex, `beta_eta_normalize` makes no eta pass.
 With no step to spend, the beta pass is the one test of normal form.
 """
@@ -158,7 +158,9 @@ def _beta_pass(t: Term, max_steps: int) -> tuple[ReductionOutcome, bool]:
     """`beta_normalize` with at most max_steps steps, and whether its normal
     form may hold an eta-redex: False only when no abstraction the pass
     closed is an eta-redex and every marked leaf it passed is marked
-    beta-eta-normal, and exact (an iff) when the pass made no step."""
+    beta-eta-normal, and exact (an iff) when the pass made no step.  While
+    it is False, the pass marks each closed abstraction it closes
+    beta-eta-normal."""
     maybe_eta = False
     steps = 0
     # The waiting machines, outermost first: (binders, fn, spine) waits for
@@ -222,6 +224,8 @@ def _beta_pass(t: Term, max_steps: int) -> tuple[ReductionOutcome, bool]:
                 if not maybe_eta:
                     maybe_eta = _is_eta_redex(lam.binder, head)
                 head = lam if head is lam.body else Lam(lam.binder, head)
+                if not maybe_eta and head._fv is _NO_NAMES:
+                    _set_lam_fv(head, _BETA_ETA_NORMAL)
             if not levels:
                 return Normal(head, steps), maybe_eta
             binders, fn, (arg, node, spine) = levels.pop()
@@ -259,11 +263,10 @@ def _eta(t: Term) -> tuple[Term, int]:
     One post-order walk over an explicit stack, so the depth of t is not
     bounded by the recursion limit: each node is visited, then its
     children, then it is rebuilt from their results, which wait on a
-    second stack.  An abstraction marked beta-eta-normal is a leaf, and a
-    closed one that comes back unchanged is marked so.  A closed one that
-    comes back changed keeps its eta-normal form and the contractions made
-    inside it in an `_EtaForm` mark, and is a leaf from then on: the walk
-    puts in the form and adds the count."""
+    second stack.  A closed abstraction keeps its eta-normal form and the
+    contractions made inside it in a mark, `_BETA_ETA_NORMAL` when it comes
+    back unchanged, and is a leaf from then on: the walk puts in the form
+    and adds the count."""
     contracted = 0
     done: list[Term] = []
     stack: list = [t]
@@ -285,13 +288,12 @@ def _eta(t: Term) -> tuple[Term, int]:
                 new = body.fn
                 contracted += 1
             elif body is node.body:
-                _mark_beta_eta_normal(node)
-                done.append(node)
-                continue
+                new = node
             else:
                 new = Lam(node.binder, body)
             if entered is not None:
-                _set_lam_fv(node, _EtaForm(new, contracted - entered))
+                mark = _BETA_ETA_NORMAL if new is node else _EtaForm(new, contracted - entered)
+                _set_lam_fv(node, mark)
             done.append(new)
         elif type(node) is App:
             stack += (node, _REBUILD, node.arg, node.fn)
@@ -299,23 +301,14 @@ def _eta(t: Term) -> tuple[Term, int]:
             done.append(node)
         else:
             fv = node._fv
-            if fv is _BETA_ETA_NORMAL:
-                done.append(node)
-            elif type(fv) is _EtaForm:
-                done.append(fv.form)
+            if type(fv) is _EtaForm:
+                done.append(fv.form or node)
                 contracted += fv.eta_steps
             elif fv:
                 stack += (node, _REBUILD, node.body)
             else:
                 stack += (contracted, node, _REBUILD, node.body)
     return done[0], contracted
-
-
-def _mark_beta_eta_normal(t: Term) -> None:
-    """Mark t beta-eta-normal if it is a closed abstraction; t must be
-    beta-eta-normal."""
-    if type(t) is Lam and t._fv is _NO_NAMES:
-        _set_lam_fv(t, _BETA_ETA_NORMAL)
 
 
 def eta_normalize(t: Term) -> Term:
@@ -331,13 +324,9 @@ def eta_normalize(t: Term) -> Term:
 
 def beta_eta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     """Beta-normalize t, then contract its eta-redexes.  When the beta pass
-    saw that its normal form holds no eta-redex, there is no eta pass: a
-    closed normal form is marked beta-eta-normal, as the eta pass would."""
+    saw that its normal form holds no eta-redex, there is no eta pass."""
     out, maybe_eta = _beta_pass(t, fuel.max_steps)
-    if type(out) is OutOfFuel:
-        return out
-    if not maybe_eta:
-        _mark_beta_eta_normal(out.term)
+    if type(out) is OutOfFuel or not maybe_eta:
         return out
     term, eta_steps = _eta(out.term)
     return Normal(term, out.steps, eta_steps)

@@ -11,17 +11,18 @@ set takes no part in equality, hashing or `repr`.  Equal sets are one
 object: a table in this module keeps each name's one-name set and each
 non-empty set that a node holds.
 
-The set of a closed abstraction may also be one of two marks, an empty set
-that says what a reduction found out about its subtree: beta-eta-normal
-(`_BETA_ETA_NORMAL`), or beta-normal with the eta-normal form and eta step
-count an `_EtaForm` holds.  The reductions set them on the closed normal
-forms they meet and walk past a marked abstraction as a normal leaf.  A
-mark is still the empty set of free variables, so every reader works
-unchanged; no constructor hands a mark up to the parent it builds.
+The set of a closed abstraction may also be a mark, an `_EtaForm`: an
+empty set that says its subtree is beta-normal and holds its eta-normal
+form and eta step count.  One shared mark, `_BETA_ETA_NORMAL`, says the
+abstraction is its own eta-normal form.  Each reduction pass marks the
+closed normal forms it proves normal and walks past a marked abstraction
+as a normal leaf.  A mark is still the empty set of free variables, so
+every reader works unchanged; no constructor hands a mark up to the parent
+it builds.
 Pickle and deepcopy rebuild a term from a flat list through the
 constructors (`_reduce`), so a clone holds the tables' sets, the clone of
 an abstraction marked beta-eta-normal the very mark, and that of one
-holding an `_EtaForm` the plain empty set.  Sharing is kept within one
+holding an eta-normal form the plain empty set.  Sharing is kept within one
 term, not across terms, and `copy.copy` copies the whole term.
 """
 
@@ -119,27 +120,23 @@ Term = Union[Var, Lam, App]
 Substitution = Mapping[str, Term]
 
 
-class _Mark(frozenset):
-    """The empty set of free variables of a closed abstraction that is known
-    to be beta-eta-normal, told apart from _NO_NAMES by identity."""
-
-
-_BETA_ETA_NORMAL = _Mark()
-
-
 class _EtaForm(frozenset):
-    """The empty set of free variables of a closed beta-normal abstraction
-    that is not eta-normal: it holds the eta-normal form and the number of
-    eta contractions that reach it.  One per abstraction, set by the eta
-    pass; a clone does not keep it."""
+    """The empty set of free variables of a closed beta-normal abstraction,
+    told apart from _NO_NAMES by its class: it holds the eta-normal form,
+    None where that is the abstraction itself, and the number of eta
+    contractions that reach it.  A clone keeps only _BETA_ETA_NORMAL."""
 
     __slots__ = ("form", "eta_steps")
 
-    def __new__(cls, form: Term, eta_steps: int) -> "_EtaForm":
+    def __new__(cls, form: Term | None, eta_steps: int) -> "_EtaForm":
         mark = frozenset.__new__(cls)
         mark.form = form
         mark.eta_steps = eta_steps
         return mark
+
+
+# The mark of every beta-eta-normal closed abstraction, one object.
+_BETA_ETA_NORMAL = _EtaForm(None, 0)
 
 
 def _reduce(self):

@@ -405,7 +405,12 @@ def test_fuel_ladder_matches_oracle_on_contract_and_k_terms():
 
 
 def is_marked(t):
-    return t._fv is _BETA_ETA_NORMAL or type(t._fv) is _EtaForm
+    return type(t._fv) is _EtaForm
+
+
+def holds_eta_form(t):
+    """Whether t is marked with an eta-normal form other than itself."""
+    return is_marked(t) and t._fv is not _BETA_ETA_NORMAL
 
 
 def marked_abstractions():
@@ -417,7 +422,7 @@ def marked_abstractions():
     for d in [church(n) for n in range(4)] + [barendregt(n) for n in range(1, 4)]:
         beta_eta_normalize(d)
         marked.append(d)
-    assert [type(d._fv) is _EtaForm for d in marked] == [False, True] + [False] * 5
+    assert [holds_eta_form(d) for d in marked] == [False, True] + [False] * 5
     assert all(is_marked(d) for d in marked)
     return tuple(marked)
 
@@ -427,8 +432,9 @@ def test_fuel_ladder_matches_oracle_on_spine_terms():
     heads whose arguments hold redexes, arguments that are head normal forms
     with arguments of their own, and marked abstractions both applied and
     as arguments, under binders, with both kinds of mark; the partial term,
-    the steps and the kind of outcome at every fuel.  An `_EtaForm` leaf
-    may hold an eta-redex, so beta_eta_normalize must make the eta pass."""
+    the steps and the kind of outcome at every fuel.  A leaf marked with an
+    eta form other than itself may hold an eta-redex, so beta_eta_normalize
+    must make the eta pass."""
     rng = random.Random(1207)
     marked = marked_abstractions()
     lengths = []
@@ -812,13 +818,27 @@ def test_a_mark_never_reaches_the_cache_of_an_application():
     e = builtin_system("c").numeral(2)
     beta_eta_normalize(d)
     beta_eta_normalize(e)
-    assert d._fv is _BETA_ETA_NORMAL and type(e._fv) is _EtaForm
+    assert d._fv is _BETA_ETA_NORMAL and holds_eta_form(e)
     for t in (App(d, e), App(e, d), App(d, d), App(App(d, e), I), App(Var("v"), d)):
         assert_caches_sound(t)
         assert type(t._fv) is frozenset
         if not t._fv:
             out = beta_normalize(t)
             assert out.steps > 0 and out == oracle.beta_normalize(t)
+
+
+def test_the_beta_pass_marks_the_elements_of_c_over_barendregt():
+    """The beta pass marks each closed abstraction it closes while it has
+    met no eta-redex, not only the root it returns: after d_0 to d_10 of
+    c[barendregt] are normalized, each element e_n = d_n.body.arg is marked
+    too, so the next numeral walks only its new pair and element."""
+    system = builtin_system("c", SequenceSpec("barendregt", barendregt))
+    numerals = list(_numerals(system, 11))
+    for d in numerals:
+        assert beta_eta_normalize(d) == Normal(d, 0, 0)
+    unmarked = [n for n, d in enumerate(numerals) if n and d.body.arg._fv is not _BETA_ETA_NORMAL]
+    assert unmarked == []
+    assert_caches_sound(numerals[-1])
 
 
 def nodes_built(fn, *args):
@@ -860,12 +880,12 @@ def test_remembered_eta_forms_give_the_oracle_answers():
     for t, expected in objects:
         first = beta_eta_normalize(t, fuel)
         assert first == expected
-        if type(t._fv) is _EtaForm:
+        if holds_eta_form(t):
             remembered += 1
             assert t._fv.form is first.term
         second = beta_eta_normalize(t, fuel)
         assert second == expected
-        if type(t._fv) is _EtaForm:
+        if holds_eta_form(t):
             assert second.term is first.term
         assert_caches_sound(t)
         assert_caches_sound(second.term)
@@ -875,7 +895,7 @@ def test_remembered_eta_forms_give_the_oracle_answers():
 def test_a_remembered_eta_form_rebuilds_nothing():
     d = list(_numerals(builtin_system("c"), 31))[30]
     first = beta_eta_normalize(d)
-    assert type(d._fv) is _EtaForm and first.eta_steps == 1
+    assert holds_eta_form(d) and first.eta_steps == 1
     second, built = nodes_built(beta_eta_normalize, d)
     assert built == 0 and second.term is first.term and second == first
     # The eta pass alone reads the form too, and so does the next numeral's.
@@ -889,20 +909,20 @@ def test_a_remembered_eta_form_rebuilds_nothing():
 def test_a_clone_of_a_remembered_eta_form_is_a_plain_abstraction():
     d = builtin_system("c").numeral(3)
     out = beta_eta_normalize(d)
-    assert type(d._fv) is _EtaForm
+    assert holds_eta_form(d)
     for clone in clones(d):
         assert clone == d and hash(clone) == hash(d) and repr(clone) == repr(d)
         assert clone._fv is _NO_NAMES
         assert_caches_sound(clone)
         assert beta_eta_normalize(clone) == out == oracle.beta_eta_normalize(clone)
-        assert type(clone._fv) is _EtaForm
+        assert holds_eta_form(clone)
         assert_caches_sound(clone)
 
 
 def test_a_clean_beta_pass_skips_the_eta_pass(monkeypatch):
     """When the beta pass meets no eta-redex and no leaf that may hold one,
-    there is no eta pass, and the closed normal form is marked
-    beta-eta-normal as the eta pass would mark it.  A leaf that remembers
+    there is no eta pass, and the beta pass marks the closed normal form
+    beta-eta-normal, as the eta pass would.  A leaf that remembers
     its eta form holds an eta-redex: then the eta pass runs."""
     eta_pass = reduction._eta
     calls = []
@@ -917,14 +937,14 @@ def test_a_clean_beta_pass_skips_the_eta_pass(monkeypatch):
     assert out == oracle.beta_eta_normalize(t) and out.term._fv is _BETA_ETA_NORMAL
     assert calls == []
     two = church(2)
-    assert beta_normalize(two).term is two and two._fv is _NO_NAMES
+    assert beta_normalize(two).term is two and two._fv is _BETA_ETA_NORMAL
     assert beta_eta_normalize(App(I, two)) == Normal(two, 1, 0)
     assert calls == [] and two._fv is _BETA_ETA_NORMAL
     one = church(1)
     t = parse_term(r"\g.(\y.y) (\x.g x)")
     for _ in range(2):
         assert beta_eta_normalize(App(I, one)) == Normal(Lam("f", Var("f")), 1, 1)
-        assert type(one._fv) is _EtaForm
+        assert holds_eta_form(one)
         assert beta_eta_normalize(t) == oracle.beta_eta_normalize(t)
     assert len(calls) == 4
 

@@ -22,6 +22,7 @@ from numlam import (
     church,
     church_k_term,
     k_function,
+    mk_pair,
     parse_term,
     phi_from_zero_test,
     spz_from_k,
@@ -77,6 +78,18 @@ def test_check_successor_rejects_wrong_combinator():
     assert report.overall == "fail"
     assert not report.cases[0].ok
     assert report.cases[0].witness  # the wrong normal form is shown
+
+
+def test_c_over_church_has_a_successor_though_none_is_shipped():
+    # λd. Z_c d ⟨I, e_1⟩ ⟨d, S_church (d F)⟩: d_1 from d_0, and from
+    # d_{n+1} = ⟨d_n, e_{n+1}⟩ the pair of it and the next Church numeral.
+    c = builtin_system("c")
+    d = Var("d")
+    succ = Lam("d", app(c.zero_test, d, mk_pair(I, church(1)),
+                        mk_pair(d, App(CHURCH.successor, App(d, F)))))
+    assert c.successor is None
+    report = check_successor(c, succ, 30)
+    assert report.overall == "pass" and len(report.cases) == 30
 
 
 def test_check_definable_identity_for_every_system():
