@@ -7,28 +7,27 @@ indices are independent pure computations; reports aggregate the verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from itertools import pairwise
-from typing import Callable, Sequence
 
 from .numerals import NumeralSystem, SequenceSpec, builtin_system
 from .report import CheckCase, CheckReport, eq_case
 from .reduction import DEFAULT_FUEL, Fuel, is_beta_eta_normal
-from .terms import App, F, Lam, T, Term, Var, alpha_eq, app, is_closed, lam, size
+from .terms import App, F, Lam, T, Term, Var, _Record, _set, alpha_eq, app, is_closed, lam, size
 
 DEFAULT_UPTO = 50
 
 
-@dataclass(frozen=True)
-class NumericFunction:
+class NumericFunction(_Record):
     """A total function on naturals with a fixed arity."""
 
-    arity: int
-    eval: Callable[..., int]
+    __slots__ = ("arity", "eval")
 
-    def __post_init__(self):
-        if self.arity < 1:
+    def __init__(self, arity: int, eval: Callable[..., int]):
+        if arity < 1:
             raise ValueError("arity must be at least 1")
+        _set(self, "arity", arity)
+        _set(self, "eval", eval)
 
 
 # ---------------------------------------------------------------------------

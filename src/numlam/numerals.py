@@ -12,10 +12,10 @@ is shipped).  The contract for each slot is checked by the harness module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
+from types import SimpleNamespace
 
-from .terms import App, F, I, Lam, T, Term, Var, app, lam, mk_pair
+from .terms import App, F, I, Lam, T, Term, Var, _Record, _set, app, lam, mk_pair
 
 
 class UnknownSystemError(ValueError):
@@ -24,25 +24,37 @@ class UnknownSystemError(ValueError):
         super().__init__(f"unknown numeral system {name!r}")
 
 
-@dataclass(frozen=True)
-class NumeralSystem:
-    name: str
-    numeral: Callable[[int], Term]
-    successor: Term | None = None
-    predecessor: Term | None = None
-    zero_test: Term | None = None
-    # (n, d_n) -> d_{n+1} around the very d_n, for the systems whose numerals
-    # nest, or around d_n's body for Church; the harness uses it to build
-    # numerals in order.  It gives the term == to `numeral(n + 1)`.
-    _step: Callable[[int, Term], Term] | None = field(default=None, repr=False, compare=False)
+class NumeralSystem(_Record):
+    __slots__ = ("name", "numeral", "successor", "predecessor", "zero_test", "_step")
+
+    def __init__(self, name: str, numeral: Callable[[int], Term], successor: Term | None = None,
+                 predecessor: Term | None = None, zero_test: Term | None = None,
+                 _step: Callable[[int, Term], Term] | None = None):
+        _set(self, "name", name)
+        _set(self, "numeral", numeral)
+        _set(self, "successor", successor)
+        _set(self, "predecessor", predecessor)
+        _set(self, "zero_test", zero_test)
+        # (n, d_n) -> d_{n+1} around the very d_n, for the systems whose
+        # numerals nest, or around d_n's body for Church; the harness uses it
+        # to build numerals in order.  It gives the term == to `numeral(n + 1)`.
+        _set(self, "_step", _step)
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+# bench/spans.py wraps `numeral` with dataclasses.replace, which reads only
+# this table: each field's name, that __init__ takes it, and no class variable.
+NumeralSystem.__dataclass_fields__ = {
+    name: SimpleNamespace(name=name, init=True, _field_type=None) for name in NumeralSystem.__slots__}
+
+
+class SequenceSpec(_Record):
     """A sequence of closed normal terms, indexed from 1."""
 
-    name: str
-    element: Callable[[int], Term]
+    __slots__ = ("name", "element")
+
+    def __init__(self, name: str, element: Callable[[int], Term]):
+        _set(self, "name", name)
+        _set(self, "element", element)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,8 @@ though the whole text were read before it is parsed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from .terms import App, Lam, Term, Var, free_vars, mk_pair, substitute
+from .terms import App, Lam, Term, Var, _Record, _set, free_vars, mk_pair, substitute
 
 
 class ParseError(Exception):
@@ -51,11 +50,13 @@ class DuplicateNameError(Exception):
         super().__init__(f"duplicate definition of {name!r}")
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(_Record):
     """Ordered named definitions; bodies are already fully inlined."""
 
-    definitions: tuple[tuple[str, Term], ...] = field(default_factory=tuple)
+    __slots__ = ("definitions",)
+
+    def __init__(self, definitions: tuple[tuple[str, Term], ...] = ()):
+        _set(self, "definitions", definitions)
 
     def as_mapping(self) -> dict[str, Term]:
         return dict(self.definitions)

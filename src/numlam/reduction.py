@@ -16,17 +16,18 @@ With no step to spend, the beta pass is the one test of normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .terms import (
     _BETA_ETA_NORMAL,
     _NO_NAMES,
     _EtaForm,
+    _Record,
     App,
     Lam,
     Term,
     Var,
+    _set,
     _set_lam_fv,
     _substitute,
     # bench/spans.py wraps this name, until counters do; the replay of a
@@ -42,32 +43,36 @@ class NotBetaNormalError(ValueError):
 DEFAULT_MAX_STEPS = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class Fuel:
-    max_steps: int = DEFAULT_MAX_STEPS
+class Fuel(_Record):
+    __slots__ = ("max_steps",)
 
-    def __post_init__(self):
-        if self.max_steps < 1:
+    def __init__(self, max_steps: int = DEFAULT_MAX_STEPS):
+        if max_steps < 1:
             raise ValueError("fuel must allow at least one step")
+        _set(self, "max_steps", max_steps)
 
 
 DEFAULT_FUEL = Fuel()
 
 
-@dataclass(frozen=True, slots=True)
-class Normal:
+class Normal(_Record):
     """A normal form, with the beta steps spent reaching it.  Eta
     contractions performed after beta-normalization are counted apart."""
 
-    term: Term
-    steps: int
-    eta_steps: int = 0
+    __slots__ = ("term", "steps", "eta_steps")
+
+    def __init__(self, term: Term, steps: int, eta_steps: int = 0):
+        _set(self, "term", term)
+        _set(self, "steps", steps)
+        _set(self, "eta_steps", eta_steps)
 
 
-@dataclass(frozen=True, slots=True)
-class OutOfFuel:
-    term: Term
-    steps: int
+class OutOfFuel(_Record):
+    __slots__ = ("term", "steps")
+
+    def __init__(self, term: Term, steps: int):
+        _set(self, "term", term)
+        _set(self, "steps", steps)
 
 
 ReductionOutcome = Normal | OutOfFuel
@@ -390,10 +395,12 @@ class HeadTrace:
         return self._states
 
 
-@dataclass(frozen=True, slots=True)
-class HeadResult:
-    trace: HeadTrace
-    reached_hnf: bool
+class HeadResult(_Record):
+    __slots__ = ("trace", "reached_hnf")
+
+    def __init__(self, trace: HeadTrace, reached_hnf: bool):
+        _set(self, "trace", trace)
+        _set(self, "reached_hnf", reached_hnf)
 
 
 def head_reduce(t: Term, fuel: Fuel = DEFAULT_FUEL) -> HeadResult:

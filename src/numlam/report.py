@@ -10,19 +10,19 @@ failure or success.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .parser import pretty
 from .reduction import DEFAULT_FUEL, Fuel, OutOfFuel, beta_eta_normalize
-from .terms import Term, alpha_eq
+from .terms import Term, _Record, _set, alpha_eq
 
 REPORT_FORMAT = 1
 
 
-@dataclass(frozen=True, slots=True)
-class EqVerdict:
-    kind: str  # "equal" | "distinct" | "unknown"
-    reason: str | None = None
+class EqVerdict(_Record):
+    __slots__ = ("kind", "reason")
+
+    def __init__(self, kind: str, reason: str | None = None):
+        _set(self, "kind", kind)  # "equal" | "distinct" | "unknown"
+        _set(self, "reason", reason)
 
     @property
     def is_equal(self) -> bool:
@@ -42,12 +42,15 @@ class EqVerdict:
         return self.kind.capitalize()
 
 
-@dataclass(frozen=True)
-class CheckCase:
-    label: str
-    verdict: EqVerdict | bool
-    steps: int | None = None
-    witness: str | None = None
+class CheckCase(_Record):
+    __slots__ = ("label", "verdict", "steps", "witness")
+
+    def __init__(self, label: str, verdict: EqVerdict | bool, steps: int | None = None,
+                 witness: str | None = None):
+        _set(self, "label", label)
+        _set(self, "verdict", verdict)
+        _set(self, "steps", steps)
+        _set(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
@@ -65,10 +68,12 @@ class CheckCase:
         return self.verdict.kind
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    subject: str
-    cases: tuple[CheckCase, ...] = field(default_factory=tuple)
+class CheckReport(_Record):
+    __slots__ = ("subject", "cases")
+
+    def __init__(self, subject: str, cases: tuple[CheckCase, ...] = ()):
+        _set(self, "subject", subject)
+        _set(self, "cases", cases)
 
     @property
     def passed(self) -> int:

@@ -28,8 +28,49 @@ term, not across terms, and `copy.copy` copies the whole term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
+
+
+class _Record:
+    """A record names its fields in __slots__ and stores them in __init__
+    with `_set`; after that a field refuses assignment and deletion.  As
+    with a dataclass, __match_args__ are the parameters of __init__, which
+    a copy or pickle passes again; ==, within one class, hash and repr read
+    the fields whose names do not start with "_"."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        init = cls.__init__.__code__
+        cls.__match_args__ = init.co_varnames[1:init.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__
 
 
 # The free variables of a closed term, shared.
@@ -44,16 +85,12 @@ _NAME_SETS: dict[str, frozenset[str]] = {}
 _SETS: dict[frozenset[str], frozenset[str]] = {}
 
 
-# The three node classes keep the frozen dataclass's FrozenInstanceError
-# and __match_args__, but their hand-written __init__ stores through the
-# slot descriptors (taken below the classes), about twice as fast as the
-# generated one.  `_fv`, the free variables, is left out of __match_args__
-# and of the ==, hash, repr and __reduce__ they share (the dataclass's recurse).
+# The node classes store through their slot descriptors (taken below), faster
+# than _set.  `_fv`, the free variables, takes no part in the ==, hash, repr
+# and __reduce__ they share, which walk a term on a stack, not recursively.
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
-class Var:
-    name: str
-    _fv: frozenset = field(init=False)
+class Var(_Record):
+    __slots__ = ("name", "_fv")
 
     def __init__(self, name: str) -> None:
         _set_name(self, name)
@@ -64,12 +101,9 @@ class Var:
         _set_var_fv(self, fv)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
-class Lam:
-    binder: str
-    body: "Term"
-    # For a closed abstraction, a mark once a reduction has found it normal.
-    _fv: frozenset = field(init=False)
+class Lam(_Record):
+    # For a closed abstraction, _fv is a mark once a reduction has found it normal.
+    __slots__ = ("binder", "body", "_fv")
 
     def __init__(self, binder: str, body: "Term") -> None:
         _set_binder(self, binder)
@@ -83,11 +117,8 @@ class Lam:
         _set_lam_fv(self, fv)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
-class App:
-    fn: "Term"
-    arg: "Term"
-    _fv: frozenset = field(init=False)
+class App(_Record):
+    __slots__ = ("fn", "arg", "_fv")
 
     def __init__(self, fn: "Term", arg: "Term") -> None:
         _set_fn(self, fn)
@@ -115,7 +146,7 @@ _set_fn = App.fn.__set__
 _set_arg = App.arg.__set__
 _set_app_fv = App._fv.__set__
 
-Term = Union[Var, Lam, App]
+Term = Var | Lam | App
 
 Substitution = Mapping[str, Term]
 
@@ -202,7 +233,7 @@ def _eq(self, other):
 
 
 def _repr(self) -> str:
-    """The dataclass's text, such as Lam(binder='x', body=Var(name='x'))."""
+    """The text of a record, such as Lam(binder='x', body=Var(name='x'))."""
     parts: list[str] = []
     stack: list = [self]
     while stack:
