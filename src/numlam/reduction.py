@@ -370,7 +370,7 @@ def _head_states(t: Term, walk):
             head, spine = _contract(head.body, {head.binder: arg}, arg._fv, spine, walk)
 
 
-class HeadTrace:
+class HeadTrace(_Record):
     """Successive states of a head reduction; length is the step count.
 
     The reduction keeps the reduced term, the step count and the final
@@ -378,20 +378,20 @@ class HeadTrace:
     first read, and keeps them; states[0] is the reduced term itself.
     """
 
-    __slots__ = ("_start", "length", "final", "_states")
+    __slots__ = ("start", "length", "final", "_states")
 
     def __init__(self, start: Term, length: int, final: Term):
-        self._start = start
-        self.length = length
-        self.final = final
-        self._states = None
+        _set(self, "start", start)
+        _set(self, "length", length)
+        _set(self, "final", final)
+        _set(self, "_states", None)
 
     @property
     def states(self) -> tuple[Term, ...]:
         if self._states is None:
-            replay = islice(_head_states(self._start, _substitute), 1, self.length)
+            replay = islice(_head_states(self.start, _substitute), 1, self.length)
             middle = (_state_term(*state) for state in replay)
-            self._states = (self._start, *middle, self.final) if self.length else (self._start,)
+            _set(self, "_states", (self.start, *middle, self.final) if self.length else (self.start,))
         return self._states
 
 

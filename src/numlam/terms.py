@@ -400,9 +400,9 @@ def _substitute(node: Term, m: Substitution, names: frozenset[str], risk: frozen
     keys and risk the union of the free variables of m's values, the names
     a binder may capture.  When risk is empty nothing is renamed.
 
-    The walk loops down a left spine, `up` the applications above node.  A
-    frame awaits a child's value: an abstraction (or a stand-in with its
-    renamed binder) its body's, and (app, up, fn, m, names, risk) that of
+    The walk keeps a frame for each node above the one it is at, which
+    awaits a child's value: an abstraction (or a stand-in with its
+    renamed binder) its body's, and (app, fn, m, names, risk) that of
     app's function if fn is None, else its argument's."""
     stack: list = []
     while True:
@@ -410,15 +410,10 @@ def _substitute(node: Term, m: Substitution, names: frozenset[str], risk: frozen
         # Exact class tests, for speed: no node class has subclasses.
         cls = type(node)
         if cls is App:
-            up = None
             fn = node.fn
-            while type(fn) is App and not fn._fv.isdisjoint(names):
-                up = (node, up)
-                node = fn
-                fn = node.fn
             if not fn._fv.isdisjoint(names):
                 if type(fn) is not Var:
-                    stack.append((node, up, None, m, names, risk))
+                    stack.append((node, None, m, names, risk))
                     node = fn
                     continue
                 fn = m[fn.name]
@@ -446,34 +441,28 @@ def _substitute(node: Term, m: Substitution, names: frozenset[str], risk: frozen
             new = m[node.body.name]
             new = node if new is node.body else Lam(node.binder, new)
             fn = None
-        # Up: fn, if set, is the value of node.fn, which awaits that of its
-        # argument; new is the value of the child the frame on top awaits.
+        # Up: fn, if set, is the value of node.fn, and node awaits that of
+        # its argument; new is the value of the child the frame on top awaits.
         while True:
             if fn is not None:
                 a = node.arg
                 if not a._fv.isdisjoint(names):
                     if type(a) is not Var:
-                        stack.append((node, up, fn, m, names, risk))
+                        stack.append((node, fn, m, names, risk))
                         node = a
                         break
                     a = m[a.name]
                 new = node if fn is node.fn and a is node.arg else App(fn, a)
-                if up is not None:
-                    node, up = up
-                    fn = new
-                    continue
-                fn = None
             if not stack:
                 return new
             frame = stack.pop()
             if type(frame) is Lam:
                 new = frame if new is frame.body else Lam(frame.binder, new)
+                fn = None
                 continue
-            node, up, fn, m, names, risk = frame
-            if fn is not None:
+            node, fn, m, names, risk = frame
+            if fn is None:
+                fn = new
+            else:
                 new = node if fn is node.fn and new is node.arg else App(fn, new)
-                if up is None:
-                    fn = None
-                    continue
-                node, up = up
-            fn = new
+                fn = None

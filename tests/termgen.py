@@ -93,6 +93,23 @@ def oracle_alpha_eq(t1: Term, t2: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Positions and beta-expansion
 
+def preorder(t: Term) -> list[Term]:
+    out = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, Lam):
+            stack.append(node.body)
+        elif isinstance(node, App):
+            stack.extend((node.arg, node.fn))
+    return out
+
+
+def binders(t: Term) -> set[str]:
+    return {node.binder for node in preorder(t) if isinstance(node, Lam)}
+
+
 def positions(t: Term) -> list[tuple[int, ...]]:
     out = [()]
     if isinstance(t, Lam):

@@ -61,9 +61,11 @@ from termgen import (
     FREE_POOL,
     assert_caches_sound,
     beta_expand,
+    binders,
     eta_expand,
     oracle_alpha_eq,
     positions,
+    preorder,
     random_chain_redex,
     random_closed_term,
     random_hnf,
@@ -82,23 +84,6 @@ from numlam.terms import _BETA_ETA_NORMAL, _NO_NAMES, _SETS, _EtaForm
 # Replacements draw their free names from the binder pool too, so they
 # collide with the binders of the term they go into and force renaming.
 NAMES = BINDER_POOL + FREE_POOL
-
-
-def preorder(t):
-    out = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(node, Lam):
-            stack.append(node.body)
-        elif isinstance(node, App):
-            stack.extend((node.arg, node.fn))
-    return out
-
-
-def binders(t):
-    return {node.binder for node in preorder(t) if isinstance(node, Lam)}
 
 
 def assert_free_vars_agree(t):

@@ -27,7 +27,6 @@ from numlam import (
     church,
     head_reduce,
 )
-from numlam.reduction import HeadTrace
 from numlam.report import EqVerdict
 
 I_TEXT = "Lam(binder='x', body=Var(name='x'))"
@@ -45,6 +44,8 @@ RECORDS = {
     "OutOfFuel": (OutOfFuel(I, 1), f"OutOfFuel(term={I_TEXT}, steps=1)", ("term", "steps")),
     "HeadResult": (HEAD, f"HeadResult(trace={HEAD.trace!r}, reached_hnf=True)",
                    ("trace", "reached_hnf")),
+    "HeadTrace": (HEAD.trace, f"HeadTrace(start=App(fn={I_TEXT}, arg={I_TEXT}), length=1, "
+                  f"final={I_TEXT})", ("start", "length", "final")),
     "EqVerdict": (EqVerdict("unknown", "out of fuel"),
                   "EqVerdict(kind='unknown', reason='out of fuel')", ("kind", "reason")),
     "CheckCase": (CheckCase("n=1", EqVerdict("equal"), 3),
@@ -66,10 +67,8 @@ RECORDS = {
 
 
 def fields(record):
-    """The fields __init__ takes, a head trace given by what it holds, as it
-    has no == of its own."""
-    return [(value.length, value.final, value.states) if isinstance(value, HeadTrace) else value
-            for value in (getattr(record, name) for name in type(record).__match_args__)]
+    """The fields __init__ takes."""
+    return [getattr(record, name) for name in type(record).__match_args__]
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -116,3 +115,14 @@ def test_a_system_rebuilds_through_dataclasses_replace():
     assert type(wrapped) is NumeralSystem and wrapped.numeral is numeral
     assert (wrapped.name, wrapped.successor, wrapped.zero_test, wrapped._step) == (
         CHURCH.name, CHURCH.successor, CHURCH.zero_test, CHURCH._step)
+
+
+def test_a_head_trace_compares_without_its_states():
+    """A head trace keeps the states it replays once read; they are no part
+    of its value, so == and repr leave them out, and a clone replays them."""
+    term = App(App(I, I), Var("y"))
+    read = head_reduce(term)
+    assert len(read.trace.states) == 3 and "_states" not in repr(read.trace)
+    assert read == head_reduce(term) and hash(read) == hash(head_reduce(term))
+    clone = pickle.loads(pickle.dumps(read))
+    assert clone == read and clone.trace.states == read.trace.states
