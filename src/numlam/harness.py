@@ -45,7 +45,7 @@ def check_system(sys: NumeralSystem, upto: int = DEFAULT_UPTO) -> CheckReport:
     cases = []
     by_size: dict[int, list[tuple[int, Term]]] = {}
     collision = None
-    for n, t in enumerate(_numerals(sys, upto)):
+    for n, t in enumerate(sys.first(upto)):
         cases.append(CheckCase(f"closed n={n}", is_closed(t)))
         cases.append(CheckCase(f"normal n={n}", is_beta_eta_normal(t)))
         if collision is None:
@@ -63,19 +63,10 @@ def check_system(sys: NumeralSystem, upto: int = DEFAULT_UPTO) -> CheckReport:
     return CheckReport(f"{sys.name} well-formedness", tuple(cases))
 
 
-def _numerals(sys: NumeralSystem, count: int):
-    """d_0, …, d_{count-1}, each built once: by the system's step around the
-    one before where the system has a step, else by `sys.numeral`."""
-    step = sys._step
-    for n in range(count):
-        d = sys.numeral(n) if step is None or n == 0 else step(n - 1, d)
-        yield d
-
-
 def check_successor(sys: NumeralSystem, s: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
     cases = [
         eq_case(f"n={n}", app(s, dn), dn1, fuel)
-        for n, (dn, dn1) in enumerate(pairwise(_numerals(sys, upto + 1)))
+        for n, (dn, dn1) in enumerate(pairwise(sys.first(upto + 1)))
     ]
     return CheckReport(f"{sys.name} successor", tuple(cases))
 
@@ -83,7 +74,7 @@ def check_successor(sys: NumeralSystem, s: Term, upto: int = DEFAULT_UPTO, fuel:
 def check_predecessor(sys: NumeralSystem, p: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
     cases = [
         eq_case(f"n={n + 1}", app(p, dn1), dn, fuel)
-        for n, (dn, dn1) in enumerate(pairwise(_numerals(sys, upto + 1)))
+        for n, (dn, dn1) in enumerate(pairwise(sys.first(upto + 1)))
     ]
     return CheckReport(f"{sys.name} predecessor", tuple(cases))
 
@@ -91,7 +82,7 @@ def check_predecessor(sys: NumeralSystem, p: Term, upto: int = DEFAULT_UPTO, fue
 def check_zero_test(sys: NumeralSystem, z: Term, upto: int = DEFAULT_UPTO, fuel: Fuel = DEFAULT_FUEL) -> CheckReport:
     cases = [
         eq_case(f"n={n}", app(z, dn), F if n else T, fuel)
-        for n, dn in enumerate(_numerals(sys, upto))
+        for n, dn in enumerate(sys.first(upto))
     ]
     return CheckReport(f"{sys.name} zero test", tuple(cases))
 
@@ -123,7 +114,7 @@ def is_generator(a: Term, u: SequenceSpec, upto: int, fuel: Fuel = DEFAULT_FUEL)
         raise ValueError("upto must be at least 1")
     cases = [
         eq_case(f"n={n}" if n else "base", App(a, dn), dn1.body.arg, fuel)
-        for n, (dn, dn1) in enumerate(pairwise(_numerals(builtin_system("c", u), upto + 1)))
+        for n, (dn, dn1) in enumerate(pairwise(builtin_system("c", u).first(upto + 1)))
     ]
     return CheckReport(f"generator for {u.name}", tuple(cases))
 

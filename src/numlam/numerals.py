@@ -12,7 +12,7 @@ is shipped).  The contract for each slot is checked by the harness module:
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from types import SimpleNamespace
 
 from .terms import App, F, I, Lam, T, Term, Var, _Record, _set, app, lam, mk_pair
@@ -36,9 +36,17 @@ class NumeralSystem(_Record):
         _set(self, "predecessor", predecessor)
         _set(self, "zero_test", zero_test)
         # (n, d_n) -> d_{n+1} around the very d_n, for the systems whose
-        # numerals nest, or around d_n's body for Church; the harness uses it
-        # to build numerals in order.  It gives the term == to `numeral(n + 1)`.
+        # numerals nest, or around d_n's body for Church; `first` uses it to
+        # build numerals in order.  It gives the term == to `numeral(n + 1)`.
         _set(self, "_step", _step)
+
+    def first(self, count: int) -> Iterator[Term]:
+        """d_0, …, d_{count-1}, each built once: by the step around the one
+        before where the system has a step, else by `numeral`."""
+        step = self._step
+        for n in range(count):
+            d = self.numeral(n) if step is None or n == 0 else step(n - 1, d)
+            yield d
 
 
 # bench/spans.py wraps `numeral` with dataclasses.replace, which reads only
@@ -134,14 +142,6 @@ def _church_step(n: int, cn: Term) -> Term:
     return Lam("f", Lam("x", App(Var("f"), cn.body.body)))
 
 
-# (n, e_n) -> e_{n+1} for the element functions whose e_{n+1} holds e_n or
-# its body, so that a sequence of them is built in O(1) pairs a step.
-_ELEMENT_STEPS: dict[Callable[[int], Term], Callable[[int, Term], Term]] = {
-    church: _church_step,
-    barendregt: _barendregt_step,
-}
-
-
 def _c_step(e: SequenceSpec) -> Callable[[int, Term], Term]:
     """(n, d_n) -> d_{n+1} = ⟨d_n, e_{n+1}⟩.  Where e's element function has
     a step, e_{n+1} grows from e_n, d_n's second component."""
@@ -164,121 +164,87 @@ CHURCH_SEQUENCE = SequenceSpec("church", church)
 
 
 # ---------------------------------------------------------------------------
-# Combinators
+# The systems
 
-def _church_successor() -> Term:
-    return lam("n", "f", "x", app(Var("f"), app(Var("n"), Var("f"), Var("x"))))
+_CHURCH_SUCCESSOR = lam("n", "f", "x", app(Var("f"), app(Var("n"), Var("f"), Var("x"))))
 
-
-def _church_predecessor() -> Term:
-    # Pair iteration: step a pair (k, k-1) upward n times from (0, 0),
-    # then keep the second component.
-    s = _church_successor()
-    step = Lam("a", mk_pair(app(s, app(Var("a"), T)), app(Var("a"), T)))
-    return Lam("n", app(Var("n"), step, mk_pair(church(0), church(0)), F))
-
-
-def _church_zero_test() -> Term:
-    return Lam("n", app(Var("n"), Lam("x", F), T))
-
-
-def _barendregt_system(name: str) -> NumeralSystem:
-    return NumeralSystem(
-        name,
+# The systems that take no sequence, each built once and shared by every
+# lookup.
+_SYSTEMS: dict[str, NumeralSystem] = {system.name: system for system in (
+    NumeralSystem(
+        "church",
+        church,
+        successor=_CHURCH_SUCCESSOR,
+        # Pair iteration: step a pair (k, k-1) upward n times from (0, 0),
+        # then keep the second component.
+        predecessor=Lam("n", app(
+            Var("n"),
+            Lam("a", mk_pair(app(_CHURCH_SUCCESSOR, app(Var("a"), T)), app(Var("a"), T))),
+            mk_pair(church(0), church(0)),
+            F,
+        )),
+        zero_test=Lam("n", app(Var("n"), Lam("x", F), T)),
+        _step=_church_step,
+    ),
+    NumeralSystem(
+        "barendregt",
         barendregt,
         successor=Lam("x", mk_pair(F, Var("x"))),
         predecessor=Lam("x", App(Var("x"), F)),
         zero_test=Lam("x", App(Var("x"), T)),
         _step=_barendregt_step,
-    )
-
-
-def _church_system(name: str) -> NumeralSystem:
-    return NumeralSystem(
-        name,
-        church,
-        successor=_church_successor(),
-        predecessor=_church_predecessor(),
-        zero_test=_church_zero_test(),
-        _step=_church_step,
-    )
-
-
-def _a_system(name: str) -> NumeralSystem:
-    return NumeralSystem(
-        name,
+    ),
+    NumeralSystem(
+        "a",
         a_numeral,
         successor=lam("n", "x", Var("n")),
         predecessor=Lam("n", App(Var("n"), I)),
-    )
-
-
-def _b_system(name: str) -> NumeralSystem:
-    succ = Lam(
-        "n",
-        mk_pair(
-            F,
-            app(Var("n"), T, a_numeral(0), Lam("x", App(Var("n"), F))),
-        ),
-    )
-    return NumeralSystem(
-        name,
+    ),
+    NumeralSystem(
+        "b",
         b_numeral,
-        successor=succ,
+        successor=Lam("n", mk_pair(F, app(Var("n"), T, a_numeral(0), Lam("x", App(Var("n"), F))))),
         zero_test=Lam("n", App(Var("n"), T)),
-    )
-
-
-def _bprime_system(name: str) -> NumeralSystem:
-    return NumeralSystem(name, bprime_numeral)
-
-
-def _tilde_system(name: str) -> NumeralSystem:
-    flip = lam("x", "y", App(Var("y"), Var("x")))
-    # In the predecessor, the inner combinators deliberately reference the
-    # x bound at the top: they are built inside that scope, capture intended.
-    shift = lam("a", "b", "c", "d", app(Var("d"), Var("a"), App(Var("c"), Var("x"))))
-    unwind = Lam("y", app(Var("y"), shift, I))
-    return NumeralSystem(
-        name,
+    ),
+    NumeralSystem("bprime", bprime_numeral),
+    NumeralSystem(
+        "tilde",
         tilde_numeral,
         successor=lam("n", "x", app(Var("n"), Var("x"), Var("x"))),
-        predecessor=lam("n", "x", app(Var("n"), unwind, F)),
-        zero_test=Lam("n", app(Var("n"), flip, I, I, T)),
-    )
+        # The shift inside the predecessor deliberately references the x
+        # bound at the top: it is built inside that scope, capture intended.
+        predecessor=lam("n", "x", app(
+            Var("n"),
+            Lam("y", app(Var("y"), lam("a", "b", "c", "d", app(Var("d"), Var("a"), App(Var("c"), Var("x")))), I)),
+            F,
+        )),
+        zero_test=Lam("n", app(Var("n"), lam("x", "y", App(Var("y"), Var("x"))), I, I, T)),
+    ),
+)}
 
+SYSTEM_NAMES = (*_SYSTEMS, "c")
 
-def _c_system(sequence: SequenceSpec) -> NumeralSystem:
-    return NumeralSystem(
-        f"c[{sequence.name}]",
-        lambda n: c_numeral(n, sequence),
-        predecessor=Lam("n", App(Var("n"), T)),
-        zero_test=Lam("n", app(Var("n"), lam("x", "y", I), T, F, T)),
-        _step=_c_step(sequence),
-    )
-
-
-# The builders of the systems that take no sequence, called with their name.
-_BUILDERS: dict[str, Callable[[str], NumeralSystem]] = {
-    "church": _church_system,
-    "barendregt": _barendregt_system,
-    "a": _a_system,
-    "b": _b_system,
-    "bprime": _bprime_system,
-    "tilde": _tilde_system,
-}
-
-SYSTEM_NAMES = (*_BUILDERS, "c")
+# (n, e_n) -> e_{n+1} for the element functions whose e_{n+1} holds e_n or
+# its body, so that c over a sequence of them is built in O(1) pairs a step.
+_ELEMENT_STEPS: dict[Callable[[int], Term], Callable[[int, Term], Term]] = {
+    system.numeral: system._step for system in _SYSTEMS.values() if system._step}
 
 
 def builtin_system(name: str, sequence: SequenceSpec | None = None) -> NumeralSystem:
     """Look up a built-in system by name.  `sequence` applies only to "c";
-    it defaults to the Church-numeral sequence."""
+    it defaults to the Church-numeral sequence, and c is built anew on each
+    call."""
     if name == "c":
-        return _c_system(sequence or CHURCH_SEQUENCE)
+        sequence = sequence or CHURCH_SEQUENCE
+        return NumeralSystem(
+            f"c[{sequence.name}]",
+            lambda n: c_numeral(n, sequence),
+            predecessor=Lam("n", App(Var("n"), T)),
+            zero_test=Lam("n", app(Var("n"), lam("x", "y", I), T, F, T)),
+            _step=_c_step(sequence),
+        )
+    if name not in _SYSTEMS:
+        raise UnknownSystemError(name)
     if sequence is not None:
         raise ValueError("a sequence can only be supplied for the c system")
-    builder = _BUILDERS.get(name)
-    if builder is None:
-        raise UnknownSystemError(name)
-    return builder(name)
+    return _SYSTEMS[name]

@@ -10,8 +10,11 @@ from numlam import (
     NumeralSystem,
     NumericFunction,
     T,
+    SYSTEM_NAMES,
+    SequenceSpec,
     Var,
     app,
+    barendregt,
     beta_eta_eq,
     builtin_system,
     check_definable,
@@ -22,10 +25,12 @@ from numlam import (
     church,
     church_k_term,
     k_function,
+    lam,
     mk_pair,
     parse_term,
     phi_from_zero_test,
     spz_from_k,
+    substitute,
     zero_test_from_phi,
 )
 
@@ -33,9 +38,19 @@ CHURCH = builtin_system("church")
 CHURCH_W10 = Lam("n", app(Var("n"), Lam("x", T), F))
 
 
-def test_check_system_passes_for_barendregt_and_bprime():
-    assert check_system(builtin_system("barendregt"), 20).overall == "pass"
-    assert check_system(builtin_system("bprime"), 20).overall == "pass"
+# The numerals that hold an eta-redex: Church's 1, λf.λx.f x, and every d_n
+# with n ≥ 1 of c over the Church sequence, since each holds e_1.
+NOT_ETA_NORMAL = {"church": [1], "c[church]": range(1, 8)}
+
+
+@pytest.mark.parametrize("system", [
+    *map(builtin_system, SYSTEM_NAMES),
+    builtin_system("c", SequenceSpec("barendregt", barendregt)),
+], ids=lambda system: system.name)
+def test_check_system_on_every_builtin(system):
+    report = check_system(system, 8)
+    bad = [c.label for c in report.cases if not c.ok]
+    assert bad == [f"normal n={n}" for n in NOT_ETA_NORMAL.get(system.name, ())]
 
 
 def test_check_system_reports_church_eta_anomaly():
@@ -209,3 +224,82 @@ def test_report_counts_and_serialization():
 def test_numeric_function_requires_positive_arity():
     with pytest.raises(ValueError):
         NumericFunction(0, lambda: 0)
+
+
+# ---------------------------------------------------------------------------
+# Contracts for every n: a hole variable in place of the numeral
+
+v, w = Var("v"), Var("w")
+
+# (system, slot, argument, expected): (slot argument) = expected holds with
+# the holes v and w free, so it holds for every numeral put in their place.
+# For b the argument ⟨F, w⟩ is d_n with n ≥ 1, and for c the argument
+# ⟨v, w⟩ is d_{n+1} over any sequence.
+CONTRACT_SCHEMAS = [
+    ("barendregt", "successor", v, mk_pair(F, v)),
+    ("barendregt", "predecessor", mk_pair(F, v), v),
+    ("barendregt", "zero_test", mk_pair(F, v), F),
+    ("a", "successor", v, Lam("y", v)),
+    ("a", "predecessor", Lam("y", v), v),
+    ("b", "successor", mk_pair(F, w), mk_pair(F, Lam("y", w))),
+    ("b", "zero_test", mk_pair(F, w), F),
+    ("c", "predecessor", mk_pair(v, w), v),
+    ("c", "zero_test", mk_pair(v, w), F),
+]
+
+
+@pytest.mark.parametrize("name, slot, arg, expected", CONTRACT_SCHEMAS,
+                         ids=[f"{name}-{slot}" for name, slot, *_ in CONTRACT_SCHEMAS])
+def test_contract_holds_with_a_hole_for_the_numeral(name, slot, arg, expected):
+    comb = getattr(builtin_system(name), slot)
+    assert beta_eta_eq(App(comb, arg), expected).is_equal
+
+
+def test_a_wrong_combinator_is_distinct_on_the_hole():
+    # λx.x T takes the first component, F, where barendregt's P takes v.
+    assert beta_eta_eq(App(Lam("x", App(Var("x"), T)), mk_pair(F, v)), v).is_distinct
+
+
+def test_the_holes_filled_give_the_next_numeral():
+    """⟨F, v⟩ with d_n for v, and ⟨v, w⟩ with d_n and e_{n+1}, are == to
+    d_{n+1} of barendregt and of c over the Church sequence."""
+    d = list(builtin_system("barendregt").first(51))
+    c = list(builtin_system("c").first(51))
+    for n in range(50):
+        assert substitute(mk_pair(F, v), {"v": d[n]}) == d[n + 1]
+        assert substitute(mk_pair(v, w), {"v": c[n], "w": church(n + 1)}) == c[n + 1]
+
+
+# ---------------------------------------------------------------------------
+# Barendregt's translation: a system with S, P and Z and the Church numerals
+
+def transported(sys_: NumeralSystem, fterm):
+    """The binary Church term `fterm` carried to `sys_` through
+    to = Y(λr.λd. Z d c_0 (S_church (r (P d)))), which sends d_n to c_n,
+    and from = λc. c S d_0, which sends c_n to d_n."""
+    half = Lam("x", App(Var("f"), App(Var("x"), Var("x"))))
+    to = App(Lam("f", App(half, half)), lam("r", "d", app(
+        sys_.zero_test, Var("d"), church(0),
+        App(CHURCH.successor, App(Var("r"), App(sys_.predecessor, Var("d")))))))
+    from_ = Lam("c", app(Var("c"), sys_.successor, sys_.numeral(0)))
+    return lam("n", "m", App(from_, app(fterm, App(to, Var("n")), App(to, Var("m")))))
+
+
+@pytest.mark.parametrize("name, steps, upto", [("barendregt", 103_422, 20), ("tilde", 409_871, 10)])
+def test_church_k_transported_defines_k_and_derives_spz(name, steps, upto):
+    sys_ = builtin_system(name)
+    k = transported(sys_, church_k_term())
+    grid = [(n, m) for n in range(11) for m in range(11)]
+    report = check_definable(sys_, k, k_function(), grid)
+    assert report.overall == "pass" and sum(c.steps for c in report.cases) == steps
+    w10 = Lam("n", app(sys_.zero_test, Var("n"), F, T))
+    s, p, z = spz_from_k(sys_, k, w10)
+    assert check_successor(sys_, s, upto).overall == "pass"
+    assert check_predecessor(sys_, p, upto).overall == "pass"
+    assert check_zero_test(sys_, z, upto).overall == "pass"
+
+
+def test_the_translation_needs_all_three_slots():
+    slots = ("successor", "predecessor", "zero_test")
+    missing = {name: [s for s in slots if getattr(builtin_system(name), s) is None] for name in "abc"}
+    assert missing == {"a": ["zero_test"], "b": ["predecessor"], "c": ["successor"]}

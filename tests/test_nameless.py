@@ -31,7 +31,6 @@ from numlam import (
     spz_from_k,
     substitute,
 )
-from numlam.harness import _numerals
 from numlam.numerals import SYSTEM_NAMES
 from termgen import (
     BINDER_POOL,
@@ -94,7 +93,7 @@ def test_contracts_agree_with_nameless():
     total = 0
     for name in SYSTEM_NAMES:
         system = builtin_system(name)
-        numerals = list(_numerals(system, 30))
+        numerals = list(system.first(30))
         for comb in (system.successor, system.predecessor, system.zero_test):
             if comb is not None:
                 for d in numerals:

@@ -38,7 +38,6 @@ from numlam import (
     parse_term,
     tilde_numeral,
 )
-from numlam.harness import _numerals
 from numlam.report import CheckReport, eq_case
 
 ALL_SYSTEMS = ["church", "barendregt", "a", "b", "bprime", "tilde", "c"]
@@ -101,8 +100,23 @@ def test_builtin_system_unknown_name():
 
 
 def test_sequence_only_valid_for_c():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="only be supplied for the c system") as raised:
         builtin_system("church", CHURCH_SEQUENCE)
+    assert not isinstance(raised.value, UnknownSystemError)
+
+
+def test_an_unknown_name_with_a_sequence_is_unknown():
+    with pytest.raises(UnknownSystemError):
+        builtin_system("nope", CHURCH_SEQUENCE)
+
+
+def test_each_system_is_one_shared_value():
+    """The systems that take no sequence are built once; c is built anew
+    on each call, over the sequence it is given."""
+    for name in ALL_SYSTEMS:
+        if name != "c":
+            assert builtin_system(name) is builtin_system(name)
+    assert builtin_system("c") is not builtin_system("c")
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
@@ -253,7 +267,7 @@ def test_stepped_numerals_equal_random_access(name):
     e_n itself, and a Church element holds the body of the one before.
     Each numeral must be == to `numeral(n)`, at every n < 200."""
     system = STEPPED_SYSTEMS[name]
-    stepped = list(_numerals(system, 200))
+    stepped = list(system.first(200))
     for n in range(1, 200):
         body = stepped[n].body
         assert stepped[n - 1] is (body.arg if name == "barendregt" else body.fn.arg)
@@ -277,6 +291,6 @@ def test_a_sequence_with_no_step_builds_each_element():
         return church(n)
 
     system = builtin_system("c", SequenceSpec("church", element))
-    numerals = list(_numerals(system, 6))
+    numerals = list(system.first(6))
     assert calls == [1, 2, 3, 4, 5]
     assert numerals == [c_numeral(n, CHURCH_SEQUENCE) for n in range(6)]

@@ -8,6 +8,7 @@ import shlex
 from pathlib import Path
 
 from numlam.cli import _build_parser, main
+from numlam.numerals import SYSTEM_NAMES, builtin_system
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -24,6 +25,19 @@ def test_library_example_prints_its_comments(capsys):
     assert expected == ["pass", r"\x2.\x.x 2"]
     exec(code, {})
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_systems_table_marks_exactly_the_shipped_slots():
+    """The rows of the systems table are the built-in systems in order, and
+    a ✓ under S, P or Z stands where the system ships that combinator."""
+    table = README.split("\n## The numeral systems\n\n", 1)[1].split("\n\n", 1)[0]
+    header, _, *rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()]
+    assert header == ["name", "numerals", "S", "P", "Z"]
+    assert [row[0] for row in rows] == list(SYSTEM_NAMES)
+    for name, _, *marks in rows:
+        system = builtin_system(name)
+        shipped = [getattr(system, slot) is not None for slot in ("successor", "predecessor", "zero_test")]
+        assert marks == ["✓" if ship else "" for ship in shipped], name
 
 
 def test_cli_examples_print_their_comments(capsys):
@@ -57,7 +71,7 @@ def test_cli_synopsis_lists_each_commands_options():
 def test_module_list_names_only_what_each_module_has():
     """The first sentence of each `numlam.X` bullet lists names of numlam.X,
     and every call `name(…)` in backticks anywhere in the bullet calls a
-    name of numlam.X or a field of a class it defines."""
+    name of numlam.X or a field or method of a class it defines."""
     section = README.split("\nModules:\n\n", 1)[1].split("\n\n", 1)[0]
     bullets = re.findall(r"^- `numlam\.(\w+)` — (.*?)(?=^- |\Z)", section, re.S | re.M)
     assert [module for module, _ in bullets] == [
@@ -75,7 +89,7 @@ def test_module_list_names_only_what_each_module_has():
             name
             for cls in vars(mod).values()
             if isinstance(cls, type) and cls.__module__ == mod.__name__
-            for name in getattr(cls, "__slots__", ())
+            for name in vars(cls)
         }
         for name in re.findall(r"`(\w+)\(", text):
             assert hasattr(mod, name) or name in fields, (module, name)
