@@ -13,6 +13,7 @@ is shipped).  The contract for each slot is checked by the harness module:
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from functools import cache, partial
 from types import SimpleNamespace
 
 from .terms import App, F, I, Lam, T, Term, Var, _Record, _set, app, lam, mk_pair
@@ -142,22 +143,18 @@ def _church_step(n: int, cn: Term) -> Term:
     return Lam("f", Lam("x", App(Var("f"), cn.body.body)))
 
 
-def _c_step(e: SequenceSpec) -> Callable[[int, Term], Term]:
-    """(n, d_n) -> d_{n+1} = ⟨d_n, e_{n+1}⟩.  Where e's element function has
-    a step, e_{n+1} grows from e_n, d_n's second component."""
+def _c_step(e: SequenceSpec, n: int, dn: Term) -> Term:
+    """d_{n+1} = ⟨d_n, e_{n+1}⟩.  Where e's element function has a step,
+    e_{n+1} grows from e_n, d_n's second component."""
     element_step = _ELEMENT_STEPS.get(e.element)
-
-    def step(n: int, dn: Term) -> Term:
-        if n == 0 or element_step is None:
-            return mk_pair(dn, e.element(n + 1))
-        return mk_pair(dn, element_step(n, dn.body.arg))
-
-    return step
+    if n == 0 or element_step is None:
+        return mk_pair(dn, e.element(n + 1))
+    return mk_pair(dn, element_step(n, dn.body.arg))
 
 
 def c_numeral(n: int, e: SequenceSpec) -> Term:
     """I for zero, then ⟨c_{n-1}, e_n⟩."""
-    return _nested(_c_step(e), n)
+    return _nested(partial(_c_step, e), n)
 
 
 CHURCH_SEQUENCE = SequenceSpec("church", church)
@@ -230,19 +227,23 @@ _ELEMENT_STEPS: dict[Callable[[int], Term], Callable[[int, Term], Term]] = {
     system.numeral: system._step for system in _SYSTEMS.values() if system._step}
 
 
+@cache
+def _c_system(sequence: SequenceSpec) -> NumeralSystem:
+    """The c system over sequence, built once for each sequence."""
+    return NumeralSystem(
+        f"c[{sequence.name}]",
+        partial(c_numeral, e=sequence),
+        predecessor=Lam("n", App(Var("n"), T)),
+        zero_test=Lam("n", app(Var("n"), lam("x", "y", I), T, F, T)),
+        _step=partial(_c_step, sequence),
+    )
+
+
 def builtin_system(name: str, sequence: SequenceSpec | None = None) -> NumeralSystem:
     """Look up a built-in system by name.  `sequence` applies only to "c";
-    it defaults to the Church-numeral sequence, and c is built anew on each
-    call."""
+    it defaults to the Church-numeral sequence."""
     if name == "c":
-        sequence = sequence or CHURCH_SEQUENCE
-        return NumeralSystem(
-            f"c[{sequence.name}]",
-            lambda n: c_numeral(n, sequence),
-            predecessor=Lam("n", App(Var("n"), T)),
-            zero_test=Lam("n", app(Var("n"), lam("x", "y", I), T, F, T)),
-            _step=_c_step(sequence),
-        )
+        return _c_system(sequence or CHURCH_SEQUENCE)
     if name not in _SYSTEMS:
         raise UnknownSystemError(name)
     if sequence is not None:

@@ -1,4 +1,4 @@
-"""Normal-order beta reduction, eta postnormalization, and head reduction.
+"""Normal-order beta reduction, eta contraction, and head reduction.
 
 All reductions are fuel-bounded: beta-normalization of an arbitrary term may
 diverge, so every driver returns either a normal form with its step count or
@@ -6,12 +6,12 @@ the partial term left when the budget ran out.
 
 Beta-normalization and head reduction run on the machine described below.
 
-Each pass marks the closed normal abstractions it proves normal (see
+`beta_eta_normalize` is one pass: it contracts each eta-redex as it closes
+the binder, marks the closed normal abstractions it proves normal (see
 `terms`) and takes a marked one as a normal leaf, so a numeral that one
-check has normalized costs the next check nothing: the eta pass puts in
-the form a mark holds and adds its count.  When the beta pass sees that its
-normal form holds no eta-redex, `beta_eta_normalize` makes no eta pass.
-With no step to spend, the beta pass is the one test of normal form.
+check has normalized costs the next check nothing: the pass puts in the
+form a mark holds and adds its count.  With no step to spend, the pass is
+the one test of normal form.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ DEFAULT_FUEL = Fuel()
 
 
 class Normal(_Record):
-    """A normal form, with the beta steps spent reaching it.  Eta
-    contractions performed after beta-normalization are counted apart."""
+    """A normal form, with the beta steps spent reaching it and, apart,
+    the eta contractions."""
 
     __slots__ = ("term", "steps", "eta_steps")
 
@@ -156,23 +156,24 @@ def beta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
     of closed arguments meeting a chain of abstractions is contracted in
     one walk with a map, as far as the fuel goes.
     """
-    return _beta_pass(t, fuel.max_steps)[0]
+    return _beta_pass(t, fuel.max_steps, False)
 
 
-def _beta_pass(t: Term, max_steps: int) -> tuple[ReductionOutcome, bool]:
-    """`beta_normalize` with at most max_steps steps, and whether its normal
-    form may hold an eta-redex: False only when no abstraction the pass
-    closed is an eta-redex and every marked leaf it passed is marked
-    beta-eta-normal, and exact (an iff) when the pass made no step.  While
-    it is False, the pass marks each closed abstraction it closes
-    beta-eta-normal."""
-    maybe_eta = False
-    steps = 0
+def _beta_pass(t: Term, max_steps: int, eta: bool) -> ReductionOutcome:
+    """`beta_normalize` with at most max_steps steps.  With eta, the pass
+    also contracts each eta-redex λx.(M x) as it closes the binder, puts
+    in the form a marked leaf holds and counts its contractions, and marks
+    what it proves normal; out of fuel after a contraction, it gives the
+    partial term of the beta steps alone."""
+    steps = eta_steps = 0
     # The waiting machines, outermost first: (binders, fn, spine) waits for
     # the normal form of the argument spine[0]; fn is the normal form of the
     # function it is applied to, and spine[2] holds the arguments to go.
     levels: list = []
     binders = spine = None
+    # (steps, eta_steps, rest): the counts at which each open binder that
+    # is a closed abstraction was entered, the innermost on top.
+    entered = None
     head = t
     # The unwinding and the rebuilding of a finished level are written out
     # in this loop rather than called: a call per move costs a measurable
@@ -187,10 +188,12 @@ def _beta_pass(t: Term, max_steps: int) -> tuple[ReductionOutcome, bool]:
         if cls is Lam:
             if spine is not None:
                 if steps == max_steps:
+                    if eta_steps:
+                        return _beta_pass(t, max_steps, False)
                     t = _state_term(binders, head, spine)
                     for binders, fn, (arg, node, spine) in reversed(levels):
                         t = _state_term(binders, fn, (t, node if t is arg else None, spine))
-                    return OutOfFuel(t, steps), True
+                    return OutOfFuel(t, steps)
                 arg, _, spine = spine
                 m = {head.binder: arg}
                 head = head.body
@@ -210,11 +213,14 @@ def _beta_pass(t: Term, max_steps: int) -> tuple[ReductionOutcome, bool]:
             fv = head._fv
             # A plain set is no mark: every mark is of a subclass.
             if type(fv) is frozenset:
+                if eta and not fv:
+                    entered = (steps, eta_steps, entered)
                 binders = (head, binders)
                 head = head.body
                 continue
-            if fv is not _BETA_ETA_NORMAL:
-                maybe_eta = True
+            if eta:
+                eta_steps += fv.eta_steps
+                head = fv.form or head
         elif spine is not None:
             # Head normal form: normalize the first argument.
             levels.append((binders, head, spine))
@@ -226,13 +232,24 @@ def _beta_pass(t: Term, max_steps: int) -> tuple[ReductionOutcome, bool]:
         while True:
             while binders is not None:
                 lam, binders = binders
-                if not maybe_eta:
-                    maybe_eta = _is_eta_redex(lam.binder, head)
-                head = lam if head is lam.body else Lam(lam.binder, head)
-                if not maybe_eta and head._fv is _NO_NAMES:
-                    _set_lam_fv(head, _BETA_ETA_NORMAL)
+                x = lam.binder
+                # An eta-redex λx.(M x), x not free in M.
+                if (eta and type(head) is App and type(head.arg) is Var
+                        and head.arg.name == x and x not in head.fn._fv):
+                    head = head.fn
+                    eta_steps += 1
+                else:
+                    head = lam if head is lam.body else Lam(x, head)
+                    if eta and head._fv is _NO_NAMES:
+                        _set_lam_fv(head, _BETA_ETA_NORMAL)
+                if eta and not lam._fv:
+                    # A closed abstraction that took no beta step is
+                    # beta-normal: it keeps its eta-normal form.
+                    entered_steps, entered_eta, entered = entered
+                    if entered_steps == steps and head is not lam:
+                        _set_lam_fv(lam, _EtaForm(head, eta_steps - entered_eta))
             if not levels:
-                return Normal(head, steps), maybe_eta
+                return Normal(head, steps, eta_steps)
             binders, fn, (arg, node, spine) = levels.pop()
             head = node if head is arg and node is not None and fn is node.fn else App(fn, head)
             if spine is not None:
@@ -245,104 +262,32 @@ def _beta_pass(t: Term, max_steps: int) -> tuple[ReductionOutcome, bool]:
 # ---------------------------------------------------------------------------
 # Eta
 
-def _is_eta_redex(binder: str, body: Term) -> bool:
-    """True iff λbinder.body is an eta-redex λx.(M x) with x not free in M."""
-    return (
-        type(body) is App
-        and type(body.arg) is Var
-        and body.arg.name == binder
-        and binder not in body.fn._fv
-    )
-
-
-# Marks, on the stack of _eta, that the node below it has had its children
-# walked and is to be rebuilt from their results.
-_REBUILD = object()
-
-
-def _eta(t: Term) -> tuple[Term, int]:
-    """Contract the eta-redexes of the beta-normal t, innermost first: the
-    eta-normal form and the number of contractions.  Unchanged subtrees
-    are shared with t, and an eta-normal t comes back as it is.
-
-    One post-order walk over an explicit stack, so the depth of t is not
-    bounded by the recursion limit: each node is visited, then its
-    children, then it is rebuilt from their results, which wait on a
-    second stack.  A closed abstraction keeps its eta-normal form and the
-    contractions made inside it in a mark, `_BETA_ETA_NORMAL` when it comes
-    back unchanged, and is a leaf from then on: the walk puts in the form
-    and adds the count."""
-    contracted = 0
-    done: list[Term] = []
-    stack: list = [t]
-    while stack:
-        node = stack.pop()
-        if node is _REBUILD:
-            node = stack.pop()
-            if type(node) is App:
-                arg = done.pop()
-                fn = done.pop()
-                done.append(node if fn is node.fn and arg is node.arg else App(fn, arg))
-                continue
-            body = done.pop()
-            # Below a closed abstraction lies the count at which it was
-            # entered.  Its set is the one it had then: only the node
-            # itself is marked here, and it is not inside its own body.
-            entered = stack.pop() if not node._fv else None
-            if _is_eta_redex(node.binder, body):
-                new = body.fn
-                contracted += 1
-            elif body is node.body:
-                new = node
-            else:
-                new = Lam(node.binder, body)
-            if entered is not None:
-                mark = _BETA_ETA_NORMAL if new is node else _EtaForm(new, contracted - entered)
-                _set_lam_fv(node, mark)
-            done.append(new)
-        elif type(node) is App:
-            stack += (node, _REBUILD, node.arg, node.fn)
-        elif type(node) is Var:
-            done.append(node)
-        else:
-            fv = node._fv
-            if type(fv) is _EtaForm:
-                done.append(fv.form or node)
-                contracted += fv.eta_steps
-            elif fv:
-                stack += (node, _REBUILD, node.body)
-            else:
-                stack += (contracted, node, _REBUILD, node.body)
-    return done[0], contracted
-
-
 def eta_normalize(t: Term) -> Term:
     """Contract eta-redexes to a fixpoint.  Requires a beta-normal input;
     on such input the result is beta-eta-normal (contracting λx.(M x)
     inside a beta-normal term cannot create a beta-redex, since an applied
     abstraction would already have been one).  A beta-redex in t, found
-    by the beta pass with no step to spend, raises NotBetaNormalError."""
-    if type(_beta_pass(t, 0)[0]) is OutOfFuel:
+    by the pass with no step to spend, raises NotBetaNormalError."""
+    out = _beta_pass(t, 0, True)
+    if type(out) is OutOfFuel:
         raise NotBetaNormalError("input contains a beta-redex")
-    return _eta(t)[0]
+    return out.term
 
 
 def beta_eta_normalize(t: Term, fuel: Fuel = DEFAULT_FUEL) -> ReductionOutcome:
-    """Beta-normalize t, then contract its eta-redexes.  When the beta pass
-    saw that its normal form holds no eta-redex, there is no eta pass."""
-    out, maybe_eta = _beta_pass(t, fuel.max_steps)
-    if type(out) is OutOfFuel or not maybe_eta:
-        return out
-    term, eta_steps = _eta(out.term)
-    return Normal(term, out.steps, eta_steps)
+    """Beta-normalize t and contract its eta-redexes, in one pass: each
+    binder is closed over a beta-eta-normal body, so an eta contraction
+    there creates no beta-redex.  Out of fuel, the partial term is that
+    of the beta steps alone."""
+    return _beta_pass(t, fuel.max_steps, True)
 
 
 def is_beta_eta_normal(t: Term) -> bool:
-    """Purely syntactic: no beta-redex and no eta-redex anywhere.  The beta
-    pass with no step to spend decides it: it stops at the first redex
-    before any contraction, so it costs one walk."""
-    out, maybe_eta = _beta_pass(t, 0)
-    return type(out) is Normal and not maybe_eta
+    """Purely syntactic: no beta-redex and no eta-redex anywhere.  The
+    pass with no step to spend decides it: it stops at the first
+    beta-redex before any contraction, so it costs one walk."""
+    out = _beta_pass(t, 0, True)
+    return type(out) is Normal and not out.eta_steps
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from numlam import (
     App,
+    CHURCH_SEQUENCE,
     F,
     Fuel,
     I,
@@ -45,6 +46,7 @@ from numlam import (
     beta_eta_normalize,
     beta_normalize,
     builtin_system,
+    c_numeral,
     church,
     church_k_term,
     eta_normalize,
@@ -419,7 +421,7 @@ def test_fuel_ladder_matches_oracle_on_spine_terms():
     as arguments, under binders, with both kinds of mark; the partial term,
     the steps and the kind of outcome at every fuel.  A leaf marked with an
     eta form other than itself may hold an eta-redex, so beta_eta_normalize
-    must make the eta pass."""
+    must put in its form."""
     rng = random.Random(1207)
     marked = marked_abstractions()
     lengths = []
@@ -474,14 +476,14 @@ def test_contracting_a_chain_of_closed_arguments_matches_oracle(monkeypatch):
     contract = reduction._contract
     walk = numlam_terms._substitute
 
-    def run(t, fuel):
+    def run(t, fuel, eta):
         # Each step pops one argument and a map keeps one per name, so the
         # steps of a run that its maps do not hold are the arguments of
         # binders shadowed by a later binder of the same name.
         nonlocal shadowed
         start = len(maps)
-        out = beta_pass(t, fuel)
-        shadowed += out[0].steps - sum(maps[start:])
+        out = beta_pass(t, fuel, eta)
+        shadowed += out.steps - sum(maps[start:])
         return out
 
     def counting(body, m, *rest):
@@ -813,10 +815,10 @@ def test_a_mark_never_reaches_the_cache_of_an_application():
 
 
 def test_the_beta_pass_marks_the_elements_of_c_over_barendregt():
-    """The beta pass marks each closed abstraction it closes while it has
-    met no eta-redex, not only the root it returns: after d_0 to d_10 of
-    c[barendregt] are normalized, each element e_n = d_n.body.arg is marked
-    too, so the next numeral walks only its new pair and element."""
+    """The beta-eta pass marks each closed abstraction it closes, not only
+    the root it returns: after d_0 to d_10 of c[barendregt] are normalized,
+    each element e_n = d_n.body.arg is marked too, so the next numeral
+    walks only its new pair and element."""
     system = builtin_system("c", SequenceSpec("barendregt", barendregt))
     numerals = list(system.first(11))
     for d in numerals:
@@ -844,7 +846,7 @@ def nodes_built(fn, *args):
 
 
 def test_remembered_eta_forms_give_the_oracle_answers():
-    """A closed abstraction that the eta pass changes keeps its eta-normal
+    """A closed abstraction that eta contraction changes keeps its eta-normal
     form and count in its mark, and a second normalization of the same
     object reads them from there.  Both answers must be the oracle's: the
     term, the beta steps and the eta steps.  The objects are closed terms
@@ -877,6 +879,44 @@ def test_remembered_eta_forms_give_the_oracle_answers():
     assert remembered >= 180
 
 
+def test_out_of_fuel_after_an_eta_contraction_gives_the_beta_term():
+    """An eta-redex, or a c[church] numeral that holds its eta form, in an
+    argument to the left of a later redex is contracted before the fuel
+    runs out, but the partial term is that of the beta steps alone.  At
+    every fuel up to the normal form, beta_eta_normalize gives what the
+    oracle gives: the outcome type, the term and the steps."""
+    rng = random.Random(2809)
+    numerals = [c_numeral(n, CHURCH_SEQUENCE) for n in range(1, 6)]
+    for d in numerals:
+        beta_eta_normalize(d)
+        assert holds_eta_form(d)
+    omega = parse_term(r"(\x.x x) (\x.x x)")
+    terms = [parse_term(r"v (\x.g x) ((\x.x x) (\x.x x))"), app(Var("v"), numerals[0], omega)]
+    while len(terms) < 300:
+        if rng.random() < 0.5:
+            left = eta_expand(random_hnf(rng, 4), rng, rng.randint(1, 2))
+        else:
+            left = rng.choice(numerals)
+        if rng.random() < 0.3:
+            left = Lam("y", app(Var("y"), left))
+        right = beta_expand(random_hnf(rng, 4), rng, rng.randint(1, 3))
+        terms.append(app(Var("v"), left, right))
+    cut = 0
+    for t in terms:
+        chain, normal = oracle_chain(t, 40)
+        steps = len(chain) - 1
+        top = steps + 1 if normal else steps - 1
+        for f in range(1, top + 1):
+            out = beta_eta_normalize(t, Fuel(f))
+            if f >= steps:
+                assert out == oracle.beta_eta_normalize(t, Fuel(f))
+            else:
+                assert out == OutOfFuel(chain[f], f)
+                cut += 1
+            assert_caches_sound(out.term)
+    assert cut > 400
+
+
 def test_a_remembered_eta_form_rebuilds_nothing():
     numerals = builtin_system("c").first(32)
     *_, d = islice(numerals, 31)
@@ -884,7 +924,7 @@ def test_a_remembered_eta_form_rebuilds_nothing():
     assert holds_eta_form(d) and first.eta_steps == 1
     second, built = nodes_built(beta_eta_normalize, d)
     assert built == 0 and second.term is first.term and second == first
-    # The eta pass alone reads the form too, and so does the next numeral's.
+    # eta_normalize reads the form too, and so does the next numeral's pass.
     assert nodes_built(eta_normalize, d) == (first.term, 0)
     e = next(numerals)
     out, built = nodes_built(beta_eta_normalize, e)
@@ -905,34 +945,22 @@ def test_a_clone_of_a_remembered_eta_form_is_a_plain_abstraction():
         assert_caches_sound(clone)
 
 
-def test_a_clean_beta_pass_skips_the_eta_pass(monkeypatch):
-    """When the beta pass meets no eta-redex and no leaf that may hold one,
-    there is no eta pass, and the beta pass marks the closed normal form
-    beta-eta-normal, as the eta pass would.  A leaf that remembers
-    its eta form holds an eta-redex: then the eta pass runs."""
-    eta_pass = reduction._eta
-    calls = []
-
-    def counted(t):
-        calls.append(t)
-        return eta_pass(t)
-
-    monkeypatch.setattr(reduction, "_eta", counted)
+def test_a_clean_beta_pass_skips_the_eta_pass():
+    """A normal form with no eta-redex comes back with no eta step, and
+    the pass marks it beta-eta-normal.  A leaf that remembers its eta form
+    gives that form and its count, and so does a second normalization."""
     t = parse_term(r"(\n.\f.\x.f (n f x)) (\f.\x.f (f x))")
     out = beta_eta_normalize(t)
     assert out == oracle.beta_eta_normalize(t) and out.term._fv is _BETA_ETA_NORMAL
-    assert calls == []
     two = church(2)
-    assert beta_normalize(two).term is two and two._fv is _BETA_ETA_NORMAL
     assert beta_eta_normalize(App(I, two)) == Normal(two, 1, 0)
-    assert calls == [] and two._fv is _BETA_ETA_NORMAL
+    assert two._fv is _BETA_ETA_NORMAL
     one = church(1)
     t = parse_term(r"\g.(\y.y) (\x.g x)")
     for _ in range(2):
         assert beta_eta_normalize(App(I, one)) == Normal(Lam("f", Var("f")), 1, 1)
         assert holds_eta_form(one)
         assert beta_eta_normalize(t) == oracle.beta_eta_normalize(t)
-    assert len(calls) == 4
 
 
 def test_normal_form_judge_matches_oracle():

@@ -1,5 +1,6 @@
 import ast
 import functools
+import pickle
 from pathlib import Path
 
 import pytest
@@ -111,12 +112,22 @@ def test_an_unknown_name_with_a_sequence_is_unknown():
 
 
 def test_each_system_is_one_shared_value():
-    """The systems that take no sequence are built once; c is built anew
-    on each call, over the sequence it is given."""
+    """Each system is built once, and c once for each sequence it is
+    given, so two lookups are one value."""
     for name in ALL_SYSTEMS:
-        if name != "c":
-            assert builtin_system(name) is builtin_system(name)
-    assert builtin_system("c") is not builtin_system("c")
+        assert builtin_system(name) is builtin_system(name)
+    alt = SequenceSpec("barendregt", barendregt)
+    assert builtin_system("c", alt) is builtin_system("c", SequenceSpec("barendregt", barendregt))
+    assert builtin_system("c", alt) is not builtin_system("c")
+
+
+@pytest.mark.parametrize("sequence", [None, SequenceSpec("barendregt", barendregt)])
+def test_a_pickled_c_system_builds_the_same_numerals(sequence):
+    system = builtin_system("c", sequence)
+    clone = pickle.loads(pickle.dumps(system))
+    assert clone.name == system.name
+    assert list(clone.first(10)) == list(system.first(10))
+    assert [clone.numeral(n) for n in range(10)] == [system.numeral(n) for n in range(10)]
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
