@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
+from collections.abc import Iterable
+from itertools import chain, islice, product
 
 from . import harness
 from .numerals import SYSTEM_NAMES, UnknownSystemError, builtin_system
@@ -71,7 +72,7 @@ def _environment(args) -> Program:
     return base or Program()
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
     """Print payload as JSON, after the report format, or the text lines."""
     if args.json:
         print(json.dumps({"format": REPORT_FORMAT, **payload}, indent=2))
@@ -87,7 +88,7 @@ def _report_lines(title: str, report) -> list[str]:
              f"{report.failed} failed, {report.unknown} unknown)"]
     for case in report.cases:
         if not case.ok:
-            detail = f"  {case.label}: {case.verdict_text()}"
+            detail = f"  {case.label}: {case.verdict}"
             if case.witness:
                 detail += f" [{case.witness}]"
             lines.append(detail)
@@ -165,17 +166,16 @@ def cmd_head(args) -> int:
     final = pretty(trace.final)
     status = "hnf" if result.reached_hnf else "out_of_fuel"
     payload = {"status": status, "h": trace.length, "final": final}
+    lines = [final, f"h = {trace.length}" if result.reached_hnf
+             else f"out of fuel after {trace.length} head steps"]
     if args.trace:
-        states = [pretty(state) for state in trace.states[:-1]]
-        states.append(final)
-        payload["states"] = states
-        lines = list(states)
-    else:
-        lines = [final]
-    if result.reached_hnf:
-        lines.append(f"h = {trace.length}")
-    else:
-        lines.append(f"out of fuel after {trace.length} head steps")
+        # Each state's text is made as it is read: text mode prints one
+        # state before it builds the next.
+        states = map(pretty, islice(trace, trace.length))
+        if args.json:
+            payload["states"] = [*states, final]
+        else:
+            lines = chain(states, lines)
     _emit(args, payload, lines)
     return EXIT_PASS if result.reached_hnf else EXIT_FUEL
 

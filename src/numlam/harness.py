@@ -46,8 +46,8 @@ def check_system(sys: NumeralSystem, upto: int = DEFAULT_UPTO) -> CheckReport:
     by_size: dict[int, list[tuple[int, Term]]] = {}
     collision = None
     for n, t in enumerate(sys.first(upto)):
-        cases.append(CheckCase(f"closed n={n}", is_closed(t)))
-        cases.append(CheckCase(f"normal n={n}", is_beta_eta_normal(t)))
+        cases.append(CheckCase(f"closed n={n}", "pass" if is_closed(t) else "fail"))
+        cases.append(CheckCase(f"normal n={n}", "pass" if is_beta_eta_normal(t) else "fail"))
         if collision is None:
             bucket = by_size.setdefault(size(t), [])
             for m, earlier in bucket:
@@ -56,10 +56,10 @@ def check_system(sys: NumeralSystem, upto: int = DEFAULT_UPTO) -> CheckReport:
                     break
             bucket.append((n, t))
     if collision is None:
-        cases.append(CheckCase("pairwise distinct", True))
+        cases.append(CheckCase("pairwise distinct", "pass"))
     else:
         witness = f"n={collision[0]} and n={collision[1]} coincide"
-        cases.append(CheckCase("pairwise distinct", False, witness=witness))
+        cases.append(CheckCase("pairwise distinct", "fail", witness=witness))
     return CheckReport(f"{sys.name} well-formedness", tuple(cases))
 
 

@@ -16,7 +16,8 @@ the one test of normal form.
 
 from __future__ import annotations
 
-from itertools import islice
+from collections.abc import Iterator
+from itertools import islice, starmap
 
 from .terms import (
     _BETA_ETA_NORMAL,
@@ -318,26 +319,30 @@ def _head_states(t: Term, walk):
 class HeadTrace(_Record):
     """Successive states of a head reduction; length is the step count.
 
-    The reduction keeps the reduced term, the step count and the final
-    term.  `states` replays the machine to build the terms between them on
-    first read, and keeps them; states[0] is the reduced term itself.
+    The trace keeps the reduced term, the step count and the final term.
+    Iterating it replays the machine and yields the reduced term, then each
+    term between as it is built, then the final term, so a reader that
+    takes one state at a time holds one state.  `states` is that tuple,
+    built again on each read; states[0] is the reduced term itself.
     """
 
-    __slots__ = ("start", "length", "final", "_states")
+    __slots__ = ("start", "length", "final")
 
     def __init__(self, start: Term, length: int, final: Term):
         _set(self, "start", start)
         _set(self, "length", length)
         _set(self, "final", final)
-        _set(self, "_states", None)
+
+    def __iter__(self) -> Iterator[Term]:
+        yield self.start
+        if self.length:
+            replay = islice(_head_states(self.start, _substitute), 1, self.length)
+            yield from starmap(_state_term, replay)
+            yield self.final
 
     @property
     def states(self) -> tuple[Term, ...]:
-        if self._states is None:
-            replay = islice(_head_states(self.start, _substitute), 1, self.length)
-            middle = (_state_term(*state) for state in replay)
-            _set(self, "_states", (self.start, *middle, self.final) if self.length else (self.start,))
-        return self._states
+        return tuple(self)
 
 
 class HeadResult(_Record):

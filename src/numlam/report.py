@@ -45,27 +45,20 @@ class EqVerdict(_Record):
 class CheckCase(_Record):
     __slots__ = ("label", "verdict", "steps", "witness")
 
-    def __init__(self, label: str, verdict: EqVerdict | bool, steps: int | None = None,
+    def __init__(self, label: str, verdict: str, steps: int | None = None,
                  witness: str | None = None):
         _set(self, "label", label)
-        _set(self, "verdict", verdict)
+        _set(self, "verdict", verdict)  # "pass" | "fail" | an EqVerdict kind
         _set(self, "steps", steps)
         _set(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
-        if isinstance(self.verdict, bool):
-            return self.verdict
-        return self.verdict.is_equal
+        return self.verdict in ("pass", "equal")
 
     @property
     def unknown(self) -> bool:
-        return isinstance(self.verdict, EqVerdict) and self.verdict.is_unknown
-
-    def verdict_text(self) -> str:
-        if isinstance(self.verdict, bool):
-            return "pass" if self.verdict else "fail"
-        return self.verdict.kind
+        return self.verdict == "unknown"
 
 
 class CheckReport(_Record):
@@ -110,7 +103,7 @@ class CheckReport(_Record):
             "cases": [
                 {
                     "label": c.label,
-                    "verdict": c.verdict_text(),
+                    "verdict": c.verdict,
                     "steps": c.steps,
                     "witness": c.witness,
                 }
@@ -147,4 +140,4 @@ def eq_case(label: str, lhs: Term, rhs: Term, fuel: Fuel = DEFAULT_FUEL) -> Chec
     a definitive mismatch the witness records the left normal form."""
     verdict, steps, left = _normalize_and_compare(lhs, rhs, fuel)
     witness = pretty(left) if verdict.is_distinct else None
-    return CheckCase(label, verdict, steps=steps, witness=witness)
+    return CheckCase(label, verdict.kind, steps=steps, witness=witness)

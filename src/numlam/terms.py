@@ -15,10 +15,11 @@ The set of a closed abstraction may also be a mark, an `_EtaForm`: an
 empty set that says its subtree is beta-normal and holds its eta-normal
 form and eta step count.  One shared mark, `_BETA_ETA_NORMAL`, says the
 abstraction is its own eta-normal form.  The beta-eta pass marks the
-closed normal forms it proves normal, and every reduction pass walks past
-a marked abstraction as a normal leaf.  A mark is still the empty set of
-free variables, so every reader works unchanged; no constructor hands a
-mark up to the parent it builds.
+closed normal forms it proves normal, and the beta passes walk past a
+marked abstraction as a normal leaf.  Head reduction enters one with no
+argument, harmlessly, as its body is normal and so in head normal form.
+A mark is still the empty set of free variables, so every reader works
+unchanged; no constructor hands a mark up to the parent it builds.
 Pickle and deepcopy rebuild a term from a flat list through the
 constructors (`_reduce`), so a clone holds the tables' sets, the clone of
 an abstraction marked beta-eta-normal the very mark, and that of one

@@ -1,7 +1,9 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -126,6 +128,20 @@ def test_head_trace(capsys):
 def test_head_out_of_fuel(capsys):
     code, out, _ = run(capsys, "head", r"(\x.x x) (\x.x x)", "--fuel", "10")
     assert code == 2
+
+
+def test_head_trace_in_text_holds_one_state_at_a_time():
+    r"""Each state of (\x.x x x)(\x.x x x) is one application longer than
+    the one before, so 400 states held together take megabytes; printed
+    as each is built, the trace stays under one."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["head", "--trace", "--fuel", "400", r"(\x.x x x)(\x.x x x)"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 2 and peak < 1_000_000, peak
 
 
 def test_eq_verdicts(capsys):
@@ -369,7 +385,7 @@ def test_long_left_spines_at_the_default_recursion_limit():
     assert out == "\\z.z" + r" (\u.u)" * 3_000 + "\nsteps: 1 beta, 0 eta\n"
     code, out, err = run_fresh(python=("-c", TILDE_DEEP_CASES))
     assert code == 0, err
-    assert out.splitlines() == ["P Equal 7511", "S Equal 2", "Z Equal 3006"]
+    assert out.splitlines() == ["P equal 7511", "S equal 2", "Z equal 3006"]
 
 
 def test_check_with_no_cases_is_inconclusive(capsys):

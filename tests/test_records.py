@@ -27,6 +27,7 @@ from numlam import (
     church,
     head_reduce,
 )
+from numlam.reduction import HeadTrace
 from numlam.report import EqVerdict
 
 I_TEXT = "Lam(binder='x', body=Var(name='x'))"
@@ -48,11 +49,11 @@ RECORDS = {
                   f"final={I_TEXT})", ("start", "length", "final")),
     "EqVerdict": (EqVerdict("unknown", "out of fuel"),
                   "EqVerdict(kind='unknown', reason='out of fuel')", ("kind", "reason")),
-    "CheckCase": (CheckCase("n=1", EqVerdict("equal"), 3),
-                  "CheckCase(label='n=1', verdict=EqVerdict(kind='equal', reason=None), "
-                  "steps=3, witness=None)", ("label", "verdict", "steps", "witness")),
-    "CheckReport": (CheckReport("s", (CheckCase("c", True),)),
-                    "CheckReport(subject='s', cases=(CheckCase(label='c', verdict=True, "
+    "CheckCase": (CheckCase("n=1", "equal", 3),
+                  "CheckCase(label='n=1', verdict='equal', steps=3, witness=None)",
+                  ("label", "verdict", "steps", "witness")),
+    "CheckReport": (CheckReport("s", (CheckCase("c", "pass"),)),
+                    "CheckReport(subject='s', cases=(CheckCase(label='c', verdict='pass', "
                     "steps=None, witness=None),))", ("subject", "cases")),
     "NumeralSystem": (CHURCH, f"NumeralSystem(name='church', numeral={church!r}, "
                       f"successor={CHURCH.successor!r}, predecessor={CHURCH.predecessor!r}, "
@@ -118,11 +119,23 @@ def test_a_system_rebuilds_through_dataclasses_replace():
 
 
 def test_a_head_trace_compares_without_its_states():
-    """A head trace keeps the states it replays once read; they are no part
-    of its value, so == and repr leave them out, and a clone replays them."""
+    """A head trace keeps no states: it replays them from its start on
+    each read, so == and repr see only its fields, and a clone replays
+    the same states."""
     term = App(App(I, I), Var("y"))
     read = head_reduce(term)
-    assert len(read.trace.states) == 3 and "_states" not in repr(read.trace)
+    assert len(read.trace.states) == 3 and "states" not in repr(read.trace)
     assert read == head_reduce(term) and hash(read) == hash(head_reduce(term))
     clone = pickle.loads(pickle.dumps(read))
     assert clone == read and clone.trace.states == read.trace.states
+
+
+def test_a_head_trace_yields_its_states_one_at_a_time():
+    trace = head_reduce(App(App(I, I), Var("y"))).trace
+    assert HeadTrace.__slots__ == ("start", "length", "final")
+    assert list(trace) == list(trace.states)
+    first, again = trace.states, trace.states
+    assert first == again and first[0] is trace.start and again[0] is trace.start
+    assert first[-1] is trace.final and len(first) == trace.length + 1
+    still = head_reduce(Var("y")).trace
+    assert still.length == 0 and list(still) == [still.start]
