@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from itertools import chain, islice, product
 
 from . import harness
-from .numerals import SYSTEM_NAMES, UnknownSystemError, builtin_system
+from .numerals import SYSTEM_NAMES, builtin_system
 from .parser import DuplicateNameError, ParseError, Program, parse_program, parse_term, pretty
 from .reduction import DEFAULT_MAX_STEPS, Fuel, Normal, beta_eta_normalize, head_reduce
 from .report import REPORT_FORMAT, beta_eta_eq
@@ -51,8 +51,8 @@ def prelude() -> Program:
 
 
 class _DefsError(Exception):
-    """A syntax error or a duplicate name in a --defs file; the message
-    names the file, line and column."""
+    """A --defs file that is not UTF-8, or a syntax error or a duplicate
+    name in one; the message names the file and where in it."""
 
 
 def _environment(args) -> Program:
@@ -60,7 +60,10 @@ def _environment(args) -> Program:
     if args.defs:
         # utf-8-sig drops a byte-order mark that an editor may have written.
         with open(args.defs, encoding="utf-8-sig") as handle:
-            text = handle.read()
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as err:
+                raise _DefsError(f"{args.defs}: not UTF-8 text ({err})") from None
         try:
             return parse_program(text, base)
         except (ParseError, DuplicateNameError) as err:
@@ -123,13 +126,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_numeral(args) -> int:
-    system = builtin_system(args.system)
-    try:
-        term = system.numeral(args.n)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_FAIL
-    text = pretty(term)
+    text = pretty(builtin_system(args.system).numeral(args.n))
     payload = {"system": args.system, "n": args.n, "term": text}
     _emit(args, payload, [text])
     return EXIT_PASS
@@ -186,12 +183,11 @@ def cmd_eq(args) -> int:
     right = parse_term(args.right, env)
     verdict = beta_eta_eq(left, right, Fuel(args.fuel))
     payload = {"verdict": verdict.kind, "reason": verdict.reason}
-    _emit(args, payload, [str(verdict)])
-    if verdict.is_equal:
-        return EXIT_PASS
-    if verdict.is_distinct:
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    text = verdict.kind.capitalize()
+    if verdict.reason:
+        text += f" ({verdict.reason})"
+    _emit(args, payload, [text])
+    return {"equal": EXIT_PASS, "distinct": EXIT_FAIL}.get(verdict.kind, EXIT_INCONCLUSIVE)
 
 
 _FUNCTIONS = {
@@ -302,11 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return EXIT_FAIL
-    except (_DefsError, UnknownSystemError, OSError) as err:
+    except (_DefsError, ValueError, OSError) as err:
+        # An unknown system and a negative index are ValueErrors.
         print(str(err), file=sys.stderr)
-        return EXIT_FAIL
-    except UnicodeDecodeError as err:
-        print(f"{args.defs}: not UTF-8 text ({err})", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -137,13 +137,17 @@ def zero_test_from_phi(sys: NumeralSystem, fphi: Term, w01: Term) -> Term:
 # ---------------------------------------------------------------------------
 # The binary function that packs successor, predecessor, and zero test
 
+def _k(n: int, m: int) -> int:
+    return n + 1 if m == 0 else abs(n - m)
+
+
+_K_FUNCTION = NumericFunction(2, _k)
+
+
 def k_function() -> NumericFunction:
-    """k(n, m) = n+1 when m = 0, |n - m| otherwise."""
-
-    def k(n: int, m: int) -> int:
-        return n + 1 if m == 0 else abs(n - m)
-
-    return NumericFunction(2, k)
+    """k(n, m) = n+1 when m = 0, |n - m| otherwise: one value, shared by
+    every call."""
+    return _K_FUNCTION
 
 
 def church_k_term() -> Term:

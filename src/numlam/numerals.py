@@ -36,9 +36,9 @@ class NumeralSystem(_Record):
         _set(self, "successor", successor)
         _set(self, "predecessor", predecessor)
         _set(self, "zero_test", zero_test)
-        # (n, d_n) -> d_{n+1} around the very d_n, for the systems whose
-        # numerals nest, or around d_n's body for Church; `first` uses it to
-        # build numerals in order.  It gives the term == to `numeral(n + 1)`.
+        # (n, d_n) -> d_{n+1}, built around the very d_n (barendregt, c) or
+        # around d_n's body (church, tilde); `first` uses it to build
+        # numerals in order.  It gives the term == to `numeral(n + 1)`.
         _set(self, "_step", _step)
 
     def first(self, count: int) -> Iterator[Term]:
@@ -127,15 +127,14 @@ def bprime_numeral(n: int) -> Term:
     return b_numeral(n)
 
 
+def _tilde_step(n: int, dn: Term) -> Term:
+    """tilde(n+1) around the body of tilde(n): λx.(B x) for d_n = λx.B."""
+    return Lam("x", App(dn.body, Var("x")))
+
+
 def tilde_numeral(n: int) -> Term:
     """I for zero, λx.(x x…x) with n+1 occurrences for n ≥ 1."""
-    _require_natural(n)
-    if n == 0:
-        return I
-    body: Term = Var("x")
-    for _ in range(n):
-        body = App(body, Var("x"))
-    return Lam("x", body)
+    return _nested(_tilde_step, n)
 
 
 def _church_step(n: int, cn: Term) -> Term:
@@ -216,6 +215,7 @@ _SYSTEMS: dict[str, NumeralSystem] = {system.name: system for system in (
             F,
         )),
         zero_test=Lam("n", app(Var("n"), lam("x", "y", App(Var("y"), Var("x"))), I, I, T)),
+        _step=_tilde_step,
     ),
 )}
 

@@ -24,23 +24,6 @@ class EqVerdict(_Record):
         _set(self, "kind", kind)  # "equal" | "distinct" | "unknown"
         _set(self, "reason", reason)
 
-    @property
-    def is_equal(self) -> bool:
-        return self.kind == "equal"
-
-    @property
-    def is_distinct(self) -> bool:
-        return self.kind == "distinct"
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.kind == "unknown"
-
-    def __str__(self) -> str:
-        if self.kind == "unknown" and self.reason:
-            return f"Unknown ({self.reason})"
-        return self.kind.capitalize()
-
 
 class CheckCase(_Record):
     __slots__ = ("label", "verdict", "steps", "witness")
@@ -139,5 +122,5 @@ def eq_case(label: str, lhs: Term, rhs: Term, fuel: Fuel = DEFAULT_FUEL) -> Chec
     """`beta_eta_eq` as one labelled case with the steps of both sides.  On
     a definitive mismatch the witness records the left normal form."""
     verdict, steps, left = _normalize_and_compare(lhs, rhs, fuel)
-    witness = pretty(left) if verdict.is_distinct else None
+    witness = pretty(left) if verdict.kind == "distinct" else None
     return CheckCase(label, verdict.kind, steps=steps, witness=witness)

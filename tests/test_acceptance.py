@@ -81,8 +81,8 @@ def test_criterion_04_b_system():
     _assert_all_equal(check_successor(sys_, sys_.successor, 50))
     _assert_all_equal(check_zero_test(sys_, sys_.zero_test, 50))
     assert sys_.predecessor is None
-    assert beta_eta_eq(App(sys_.successor, bprime_numeral(0)), bprime_numeral(1)).is_distinct
-    assert beta_eta_eq(App(sys_.successor, bprime_numeral(0)), bprime_numeral(2)).is_equal
+    assert beta_eta_eq(App(sys_.successor, bprime_numeral(0)), bprime_numeral(1)).kind == "distinct"
+    assert beta_eta_eq(App(sys_.successor, bprime_numeral(0)), bprime_numeral(2)).kind == "equal"
     print("criterion 4 PASS: b-system S/Z Equal for n < 50, predecessor absent, "
           "b' sanity holds")
 

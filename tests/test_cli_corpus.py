@@ -45,8 +45,8 @@ TERMS = (
     "x)",
 )
 
-# Pairs for eq: equal, equal by eta, distinct, unknown on either side, and
-# malformed.
+# Pairs for eq: equal, equal by eta, distinct, unknown on either side and on
+# both, and malformed.
 PAIRS = (
     (r"S_church (\f.\x.x)", r"\f.\x.f x"),
     (r"\x.f x", "f"),
@@ -54,6 +54,7 @@ PAIRS = (
     ("Z_church I", "F"),
     (OMEGA, "I"),
     ("I", OMEGA3),
+    (OMEGA, OMEGA3),
     (r"(\x", "I"),
 )
 
@@ -62,7 +63,7 @@ ERRORS = (
     ["eval", "--fuel", "0", "I"],
     ["check", "church", "all", "--upto", "-1"],
     ["check", "nosuch", "all"],
-    ["numeral", "church", "-1"],
+    *(["numeral", name, "-1"] for name in SYSTEM_NAMES),
     ["numeral", "nosuch", "1"],
     ["definable", "church", "I", "--fn", "id", "--upto", "-2"],
     ["eval", "--defs", "no-such-directory/missing.defs", "I"],

@@ -181,8 +181,8 @@ def test_combinator_contracts_small(name, upto):
 
 def test_bprime_breaks_b_successor_at_zero():
     s = builtin_system("b").successor
-    assert beta_eta_eq(App(s, bprime_numeral(0)), bprime_numeral(1)).is_distinct
-    assert beta_eta_eq(App(s, bprime_numeral(0)), bprime_numeral(2)).is_equal
+    assert beta_eta_eq(App(s, bprime_numeral(0)), bprime_numeral(1)).kind == "distinct"
+    assert beta_eta_eq(App(s, bprime_numeral(0)), bprime_numeral(2)).kind == "equal"
 
 
 def test_c_combinators_independent_of_sequence():
@@ -265,27 +265,35 @@ def test_numeral_system_is_plain_data():
 
 STEPPED_SYSTEMS = {
     "barendregt": builtin_system("barendregt"),
+    "tilde": builtin_system("tilde"),
     "c[church]": builtin_system("c"),
     "c[barendregt]": builtin_system("c", SequenceSpec("barendregt", barendregt)),
+    "c[tilde]": builtin_system("c", SequenceSpec("tilde", tilde_numeral)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STEPPED_SYSTEMS))
 def test_stepped_numerals_equal_random_access(name):
     """The checks build the numerals of these systems in order, each by the
-    system's step around the very numeral before it, and c grows each
-    element e_{n+1} from e_n, the second component of d_n: ⟨F, e_n⟩ holds
-    e_n itself, and a Church element holds the body of the one before.
-    Each numeral must be == to `numeral(n)`, at every n < 200."""
+    system's step around the very numeral before it, or around its body
+    for tilde, and c grows each element e_{n+1} from e_n, the second
+    component of d_n: ⟨F, e_n⟩ holds e_n itself, and a Church or tilde
+    element holds the body of the one before.  Each numeral must be == to
+    `numeral(n)`, at every n < 200."""
     system = STEPPED_SYSTEMS[name]
     stepped = list(system.first(200))
     for n in range(1, 200):
         body = stepped[n].body
+        if name == "tilde":
+            assert body.fn is stepped[n - 1].body
+            continue
         assert stepped[n - 1] is (body.arg if name == "barendregt" else body.fn.arg)
         if name != "barendregt" and n > 1:
             element, before = body.arg, stepped[n - 1].body.arg
             if name == "c[barendregt]":
                 assert element.body.arg is before
+            elif name == "c[tilde]":
+                assert element.body.fn is before.body
             else:
                 assert element.body.body.arg is before.body.body
     for n in range(200):

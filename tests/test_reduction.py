@@ -232,10 +232,10 @@ def test_is_beta_eta_normal_rejects_redexes():
 
 def test_beta_eta_eq_examples():
     succ = builtin_system("church").successor
-    assert beta_eta_eq(App(succ, church(3)), church(4)).is_equal
-    assert beta_eta_eq(T, F).is_distinct
+    assert beta_eta_eq(App(succ, church(3)), church(4)).kind == "equal"
+    assert beta_eta_eq(T, F).kind == "distinct"
     verdict = beta_eta_eq(OMEGA, I, Fuel(100))
-    assert verdict.is_unknown and verdict.reason
+    assert verdict.kind == "unknown" and verdict.reason
 
 
 def head_step(t):
